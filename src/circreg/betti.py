@@ -5,11 +5,18 @@ facts the package cross-checks.
 
 The sweep sums, over every vertex subset W, the reduced homology of the
 independence complex restricted to W; the entry (i, j) collects degree
-j - i - 2 from the subsets of size j.  Subsets whose induced subgraph has
-an isolated vertex restrict to a cone and are skipped.  When the vertex
-relabelling v -> v+1 (mod n) or v -> -v (mod n) is an automorphism, only
-one subset per orbit is computed and its contribution multiplied by the
-orbit size.
+j - i - 2 from the subsets of size j.  Each restriction is first reduced by
+the fold lemma (A. Engström, "Complexes of directed trees and independence
+complexes", Discrete Math. 2009): if N(u) is contained in N(v) for
+distinct u, v, then Ind(G) is homotopy equivalent to Ind(G - v).  Folds
+are repeated until none applies.  Homotopy equivalence keeps torsion, so
+the reduction is exact over every field.  An isolated vertex is the
+degenerate fold: the restriction is a cone and the subset is skipped.
+Otherwise the homology is computed once per folded graph up to
+relabelling, while the entry still uses the size j of the original subset.
+When the vertex relabelling v -> v+1 (mod n) or v -> -v (mod n) is an
+automorphism, only one subset per orbit is computed and its contribution
+multiplied by the orbit size.
 """
 
 from __future__ import annotations
@@ -195,38 +202,84 @@ def _subset_orbit_reps(g: Graph) -> list[tuple[int, int]]:
     return sorted(counts.items())
 
 
+def _fold(adj: Sequence[int], mask: int) -> int:
+    """Vertex set left after folding the graph induced on *mask*, or 0 when
+    its independence complex is a cone.
+
+    Fold lemma: if N(u) is a subset of N(v) for u != v, Ind(G) and Ind(G - v)
+    are homotopy equivalent.  The vertices v whose neighbourhood contains
+    N(u) are the common neighbours of N(u) other than u; none of them is
+    adjacent to u, so all are removed at once.  A removal shrinks only its
+    neighbours' neighbourhoods, so only those can play u anew and only they
+    are checked again.  An isolated vertex u has N(u) empty, contained in
+    every neighbourhood, so folding would leave the point u: the cone case.
+    """
+    todo = mask
+    while todo:
+        low = todo & -todo
+        todo ^= low
+        nbrs = adj[low.bit_length() - 1] & mask
+        if not nbrs:
+            return 0
+        dominated = mask ^ low
+        rest = nbrs
+        while rest and dominated:
+            w = rest & -rest
+            rest ^= w
+            dominated &= adj[w.bit_length() - 1]
+        if dominated:
+            mask ^= dominated
+            touched = 0
+            for v in bits(dominated):
+                touched |= adj[v]
+            todo = (todo | touched) & mask
+    return mask
+
+
 def _sweep_chunk(adj: Sequence[int], field, items: Sequence[tuple[int, int]]) -> dict:
     """Partial Hochster sums for one list of (subset, multiplicity) pairs."""
     entries: dict[tuple[int, int], int] = {}
+    # Homology by relabelled adjacency of the folded graph, and by the folded
+    # vertex set, which many subsets share, so that key is built once per set.
     memo: dict[tuple, dict[int, int]] = {}
+    by_core: dict[int, dict[int, int]] = {}
     for mask, count in items:
-        verts = list(bits(mask))
-        if any(adj[v] & mask == 0 for v in verts):
-            continue  # isolated vertex in the restriction => cone => acyclic
-        j = len(verts)
-        pos = {v: k for k, v in enumerate(verts)}
-        key = tuple(
-            sum(1 << pos[u] for u in bits(adj[v] & mask)) for v in verts
-        )
-        dims = memo.get(key)
+        core = _fold(adj, mask)
+        if not core:
+            continue  # the restriction folds to a cone => acyclic
+        dims = by_core.get(core)
         if dims is None:
-            faces = [0]
-            rest = mask
-            while rest:
-                low = rest & -rest
-                rest ^= low
-                av = adj[low.bit_length() - 1]
-                faces += [f | low for f in faces if not f & av]
-            top = max(f.bit_count() for f in faces)
-            sizes: list[list[int]] = [[] for _ in range(top + 1)]
-            for f in faces:
-                sizes[f.bit_count()].append(f)
-            dims = {d: v for d, v in homology_dims_from_sizes(sizes, field).items() if v}
-            memo[key] = dims
+            dims = by_core[core] = _core_homology(adj, core, field, memo)
+        j = mask.bit_count()
         for d, dim in dims.items():
             cell = (j - d - 2, j)
             entries[cell] = entries.get(cell, 0) + count * dim
     return entries
+
+
+def _core_homology(adj: Sequence[int], core: int, field, memo: dict) -> dict[int, int]:
+    """Nonzero reduced homology of the independence complex induced on *core*."""
+    verts = list(bits(core))
+    pos = {v: k for k, v in enumerate(verts)}
+    key = tuple(
+        sum(1 << pos[u] for u in bits(adj[v] & core)) for v in verts
+    )
+    dims = memo.get(key)
+    if dims is None:
+        faces = [0]
+        rest = core
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            av = adj[low.bit_length() - 1]
+            faces += [f | low for f in faces if not f & av]
+        top = max(f.bit_count() for f in faces)
+        sizes: list[list[int]] = [[] for _ in range(top + 1)]
+        for f in faces:
+            sizes[f.bit_count()].append(f)
+        dims = {d: v for d, v in homology_dims_from_sizes(sizes, field).items() if v}
+        memo[key] = dims
+    return dims
 
 
 def hochster_betti_table(

@@ -13,6 +13,7 @@ import hashlib
 import json
 import os
 import sys
+import tempfile
 
 from .betti import (
     BettiTable,
@@ -82,11 +83,35 @@ def parse_graph_spec(spec: str) -> Graph:
     )
 
 
+# Part of every cache key; bump it when the table format or the algorithm
+# that produces the tables changes, so older entries are never read.
+CACHE_FORMAT = 2
+
+
 def _graph_cache_key(g: Graph, field) -> str:
     payload = json.dumps(
-        {"graph": graph_to_json_dict(g), "field": field_name(field)}, sort_keys=True
+        {"format": CACHE_FORMAT, "graph": graph_to_json_dict(g), "field": field_name(field)},
+        sort_keys=True,
     )
     return hashlib.sha256(payload.encode()).hexdigest()
+
+
+def _read_cached(path: str, g: Graph, field) -> BettiTable | None:
+    """The table stored at *path*, or None when it is missing, unreadable or
+    inconsistent with the graph and field it is filed under."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            table = BettiTable.from_json_dict(json.load(fh))
+    except (FileNotFoundError, ValueError, KeyError, TypeError):
+        return None  # missing, truncated or hand-edited: recompute it
+    if (
+        table.n != g.n
+        or table.field != field
+        or table.zero_ideal != (g.edge_count == 0)
+        or table.beta(0, 2) != g.edge_count
+    ):
+        return None
+    return table
 
 
 def _table_for(g: Graph, field, args) -> BettiTable:
@@ -96,15 +121,22 @@ def _table_for(g: Graph, field, args) -> BettiTable:
     if use_cache:
         os.makedirs(cache_dir, exist_ok=True)
         path = os.path.join(cache_dir, _graph_cache_key(g, field) + ".json")
-        if os.path.exists(path):
-            with open(path, "r", encoding="utf-8") as fh:
-                return BettiTable.from_json_dict(json.load(fh))
+        table = _read_cached(path, g, field)
+        if table is not None:
+            return table
     table = hochster_betti_table(
         g, field, workers=args.workers, vertex_limit=args.limit_vertices
     )
     if use_cache:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(table.to_json_dict(), fh, sort_keys=True)
+        # A reader sees the old entry or the whole new one, never a partial write.
+        fd, tmp = tempfile.mkstemp(dir=cache_dir, suffix=".tmp")
+        try:
+            with os.fdopen(fd, "w", encoding="utf-8") as fh:
+                json.dump(table.to_json_dict(), fh, sort_keys=True)
+            os.replace(tmp, path)
+        except BaseException:
+            os.unlink(tmp)
+            raise
     return table
 
 

@@ -3,14 +3,17 @@ no-shortcut enumeration oracle, plus the decision procedure and the
 property harness."""
 
 import random
+from itertools import combinations
 
 import pytest
 
 import naive_ref
+from circreg._bitops import bits
 from circreg.betti import (
     BettiTable,
     VertexLimitError,
     ZeroIdealError,
+    _fold,
     betti_across_fields,
     decide_regularity,
     hochster_betti_table,
@@ -35,6 +38,16 @@ from circreg.homology import reduced_homology_dims
 
 def oracle2(g):
     return hochster_betti_table(g, 2)
+
+
+# 1-skeleton complement of a 12-vertex flag triangulation of RP^2 (the
+# 6-vertex RP^2 with edges subdivided until no empty triangle remains).
+RP2_EDGES = (
+    (0, 1), (0, 2), (0, 5), (0, 11), (1, 5), (1, 6), (1, 7), (1, 10), (2, 3),
+    (2, 8), (2, 11), (3, 6), (3, 8), (3, 9), (3, 10), (4, 5), (4, 7), (4, 8),
+    (4, 9), (4, 10), (4, 11), (5, 9), (5, 10), (6, 7), (6, 9), (6, 10),
+    (6, 11), (7, 8), (7, 9), (7, 11), (8, 10), (9, 11), (10, 11),
+)
 
 
 class TestKnownTables:
@@ -89,6 +102,27 @@ class TestAgainstNaiveSweep:
             fast = hochster_betti_table(g, field)
             naive = naive_ref.betti_entries(g, field)
             assert fast.entries == naive, (g.edges, field)
+
+    @pytest.mark.parametrize("field", [2, 3, "Q"])
+    def test_all_five_vertex_graphs(self, field):
+        pairs = list(combinations(range(5), 2))
+        for m in range(1 << len(pairs)):
+            g = Graph(5, [e for k, e in enumerate(pairs) if m >> k & 1])
+            fast = hochster_betti_table(g, field)
+            assert fast.entries == naive_ref.betti_entries(g, field), (g.edges, field)
+
+    @pytest.mark.parametrize("field", [2, 3, "Q"])
+    def test_seeded_sample_and_circulants(self, field):
+        # Circulants take the orbit path; relabelled, the full sweep.
+        rng = random.Random(101)
+        graphs = [random_graph(n, rng.uniform(0.2, 0.8), rng) for n in (6, 6, 7, 7, 8, 8)]
+        for c in (circulant(7, {1, 2}), circulant(8, {1, 4}), circulant(8, {2, 3})):
+            perm = list(range(c.n))
+            rng.shuffle(perm)
+            graphs += [c, Graph(c.n, [(perm[i], perm[j]) for i, j in c.edges])]
+        for g in graphs:
+            fast = hochster_betti_table(g, field)
+            assert fast.entries == naive_ref.betti_entries(g, field), (g.edges, field)
 
     def test_generator_count_entry(self):
         rng = random.Random(89)
@@ -168,6 +202,18 @@ class TestCrossField:
             tables, agree = betti_across_fields(g)
             assert agree, {k: t.entries for k, t in tables.items()}
 
+    def test_flag_rp2_tables_depend_on_the_field(self):
+        g = Graph(12, RP2_EDGES)
+        assert g.edge_count == 33
+        tables, agree = betti_across_fields(g)
+        assert not agree
+        reg_pd = {name: (t.regularity, t.projective_dimension) for name, t in tables.items()}
+        assert reg_pd == {"2": (4, 9), "3": (3, 8), "Q": (3, 8)}
+        cx = independence_complex(g)
+        for field, expected in ((2, {1: 1, 2: 1}), (3, {}), ("Q", {})):
+            dims = reduced_homology_dims(cx, field)
+            assert {d: v for d, v in dims.items() if v} == expected, field
+
     def test_json_round_trip(self):
         t = hochster_betti_table(cycle_graph(5))
         assert BettiTable.from_json_dict(t.to_json_dict()) == t
@@ -176,6 +222,29 @@ class TestCrossField:
         t = hochster_betti_table(complete_graph(3))
         assert t.to_csv(nonzero_only=True) == "i,j,beta\n0,2,3\n1,3,2\n"
         assert t.to_csv().splitlines()[0].startswith("i\\j,")
+
+
+class TestFold:
+    def test_isolated_vertex_is_a_cone(self):
+        c5 = cycle_graph(5)
+        assert _fold(c5.adj, 0b01011) == 0  # vertex 3 has no neighbour in {0, 1, 3}
+
+    def test_c5_has_no_domination(self):
+        c5 = cycle_graph(5)
+        assert _fold(c5.adj, c5.full_mask) == c5.full_mask
+
+    def test_p3_folds_to_an_edge(self):
+        p3 = path_graph(3)
+        core = _fold(p3.adj, p3.full_mask)
+        edge = p3.induced(bits(core))[0]
+        assert edge.n == 2 and edge.edge_count == 1
+        for g in (p3, edge):
+            dims = reduced_homology_dims(independence_complex(g), 2)
+            assert {d: v for d, v in dims.items() if v} == {0: 1}
+
+    def test_p4_folds_to_a_cone(self):
+        p4 = path_graph(4)
+        assert _fold(p4.adj, p4.full_mask) == 0
 
 
 class TestDecision:

@@ -147,6 +147,27 @@ class TestCacheAndDeterminism:
         assert cold == warm == nocache
         assert list((tmp_path / "cache").iterdir())
 
+    def test_truncated_cache_entry_is_recomputed(self, capsys, tmp_path):
+        cache = tmp_path / "cache"
+        _, cold, _ = run(capsys, "betti", "circulant:8:1,4", "--json", "--cache", str(cache))
+        (entry,) = cache.iterdir()
+        entry.write_text(entry.read_text()[:20])
+        code, warm, _ = run(capsys, "betti", "circulant:8:1,4", "--json", "--cache", str(cache))
+        assert code == 0 and warm == cold
+        assert list(cache.iterdir()) == [entry]
+        assert json.loads(entry.read_text()) == json.loads(cold)
+
+    def test_tampered_cache_entry_is_not_served(self, capsys, tmp_path):
+        cache = tmp_path / "cache"
+        _, cold, _ = run(capsys, "reg", "circulant:8:1,4", "--json", "--cache", str(cache))
+        (entry,) = cache.iterdir()
+        data = json.loads(entry.read_text())
+        data["entries"] = [[0, 2, 999], [1, 8, 1]]
+        entry.write_text(json.dumps(data))
+        code, warm, _ = run(capsys, "reg", "circulant:8:1,4", "--json", "--cache", str(cache))
+        assert code == 0 and warm == cold
+        assert json.loads(cold)["reg"] == 3
+
     def test_workers_byte_identical(self, capsys):
         _, a, _ = run(capsys, "betti", "moebius:5", "--json", "--workers", "1")
         _, b, _ = run(capsys, "betti", "moebius:5", "--json", "--workers", "8")
