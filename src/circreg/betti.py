@@ -16,7 +16,13 @@ Otherwise the homology is computed once per folded graph up to
 relabelling, while the entry still uses the size j of the original subset.
 When the vertex relabelling v -> v+1 (mod n) or v -> -v (mod n) is an
 automorphism, only one subset per orbit is computed and its contribution
-multiplied by the orbit size.
+multiplied by the orbit size.  Under the rotation the orbits are binary
+bracelets, generated directly: the necklaces from the Fredricksen-Kessler-
+Maiorana algorithm (K. Cattell et al., "Fast algorithms to generate
+necklaces, unlabeled necklaces, and irreducible polynomials over GF(2)",
+J. Algorithms 2000) that no rotation of their reversal undercuts
+(J. Sawada, "Generating bracelets in constant amortized time", SIAM J.
+Comput. 2001).
 """
 
 from __future__ import annotations
@@ -169,37 +175,69 @@ def _reflection_is_automorphism(g: Graph) -> bool:
 
 
 def _subset_orbit_reps(g: Graph) -> list[tuple[int, int]]:
-    """Nonempty subsets up to the cyclic/reflective symmetries g actually has,
-    with orbit sizes; falls back to all subsets when there is no symmetry."""
+    """Least member and size of each orbit of nonempty subsets under the
+    cyclic/reflective symmetries g actually has, ascending; every subset
+    with size 1 when there is no symmetry.
+
+    If v -> v+1 is an automorphism then g is a circulant, so v -> -v is one
+    too (for n = 2 it is the identity): the orbits are then binary bracelets.
+    """
     n = g.n
     full = (1 << n) - 1
-    rot = n >= 2 and _rotation_is_automorphism(g)
-    refl = n >= 3 and _reflection_is_automorphism(g)
-    if not rot and not refl:
-        return [(m, 1) for m in range(1, full + 1)]
+    if n >= 2 and _rotation_is_automorphism(g):
+        return _bracelets(n)
+    if n >= 3 and _reflection_is_automorphism(g):
+        out = []
+        for m in range(1, full + 1):
+            r = _reverse(m, n)
+            r = ((r << 1) | (r >> (n - 1))) & full  # v -> n-1-v, then v -> v+1
+            if m <= r:
+                out.append((m, 1 if m == r else 2))
+        return out
+    return [(m, 1) for m in range(1, full + 1)]
 
-    def reflect(m: int) -> int:
-        r = m & 1
-        for v in bits(m & ~1):
-            r |= 1 << (n - v)
-        return r
 
-    counts: dict[int, int] = {}
-    for m in range(1, full + 1):
-        best = m
-        seeds = (m, reflect(m)) if refl else (m,)
-        for s in seeds:
-            if not rot:
-                if s < best:
-                    best = s
-                continue
-            cur = s
-            for _ in range(n):
-                cur = ((cur << 1) | (cur >> (n - 1))) & full
-                if cur < best:
-                    best = cur
-        counts[best] = counts.get(best, 0) + 1
-    return sorted(counts.items())
+def _reverse(m: int, n: int) -> int:
+    """*m* with its n low bits in reverse order."""
+    return int(f"{m:0{n}b}"[::-1], 2)
+
+
+def _bracelets(n: int) -> list[tuple[int, int]]:
+    """Least member and size of every dihedral orbit of nonzero n-bit masks.
+
+    The masks are read most significant bit first, so lexicographic order is
+    integer order.  The iterative Fredricksen-Kessler-Maiorana algorithm walks
+    the prenecklaces in increasing order: the next one increments the last 0
+    of the current one, at position p, and repeats the first p symbols.  It
+    is a necklace, the least of its rotations with period p, when p divides
+    n.  A necklace is the least member of its dihedral orbit when none of the
+    p distinct rotations of its reversal is smaller; its orbit has p members
+    if one of them equals it and 2p otherwise.
+    """
+    full = (1 << n) - 1
+    # A p-bit block times repeat[p] is the block written ceil(n/p) times;
+    # shifting right by cut[p] keeps its first n bits.
+    repeat = [0] + [((1 << (p * -(-n // p))) - 1) // ((1 << p) - 1) for p in range(1, n + 1)]
+    cut = [0] + [p * -(-n // p) - n for p in range(1, n + 1)]
+    out = []
+    m = 0
+    while m != full:
+        t = (m ^ (m + 1)).bit_length() - 1  # trailing 1s, after the last 0
+        p = n - t
+        m = ((m >> t) | 1) * repeat[p] >> cut[p]
+        if n % p:
+            continue
+        r = _reverse(m, n)
+        size = 2 * p
+        for _ in range(p):
+            if r < m:
+                break
+            if r == m:
+                size = p
+            r = ((r << 1) | (r >> (n - 1))) & full
+        else:
+            out.append((m, size))
+    return out
 
 
 def _fold(adj: Sequence[int], mask: int) -> int:

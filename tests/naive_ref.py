@@ -116,6 +116,41 @@ def betti_entries(g: Graph, field=2) -> dict[tuple[int, int], int]:
     return entries
 
 
+def orbit_reps(g: Graph) -> list[tuple[int, int]]:
+    """Least mask and size of each orbit of nonempty vertex subsets under the
+    maps v -> v+1 and v -> -v (mod n) that are automorphisms of g, found by
+    closing every mask under those maps one image at a time; ascending."""
+    n = g.n
+
+    def rotate(v: int) -> int:
+        return (v + 1) % n
+
+    def reflect(v: int) -> int:
+        return (n - v) % n
+
+    maps = [
+        f for f in (rotate, reflect)
+        if {tuple(sorted((f(i), f(j)))) for (i, j) in g.edges} == set(g.edges)
+    ]
+    seen: set[int] = set()
+    out = []
+    for m in range(1, 1 << n):
+        if m in seen:
+            continue
+        orbit = {m}
+        frontier = [m]
+        while frontier:
+            x = frontier.pop()
+            for f in maps:
+                y = sum(1 << f(v) for v in range(n) if x >> v & 1)
+                if y not in orbit:
+                    orbit.add(y)
+                    frontier.append(y)
+        seen |= orbit
+        out.append((min(orbit), len(orbit)))
+    return out
+
+
 def is_chordal(g: Graph) -> bool:
     """No induced cycle of length >= 4, by exhausting vertex subsets."""
     for w in range(1 << g.n):

@@ -14,6 +14,10 @@ from circreg.betti import (
     VertexLimitError,
     ZeroIdealError,
     _fold,
+    _reflection_is_automorphism,
+    _rotation_is_automorphism,
+    _subset_orbit_reps,
+    _sweep_chunk,
     betti_across_fields,
     decide_regularity,
     hochster_betti_table,
@@ -86,6 +90,15 @@ class TestKnownTables:
         assert t.projective_dimension_quotient == t.projective_dimension + 1
 
 
+def _all_circulants(nmax):
+    """circulant(n, S) for every n <= nmax and every S in 1..n//2."""
+    return [
+        circulant(n, [d for d in range(1, n // 2 + 1) if k >> (d - 1) & 1])
+        for n in range(1, nmax + 1)
+        for k in range(1 << (n // 2))
+    ]
+
+
 class TestAgainstNaiveSweep:
     @pytest.mark.parametrize("field", [2, 3, "Q"])
     def test_small_graphs_all_fields(self, field):
@@ -123,6 +136,22 @@ class TestAgainstNaiveSweep:
         for g in graphs:
             fast = hochster_betti_table(g, field)
             assert fast.entries == naive_ref.betti_entries(g, field), (g.edges, field)
+
+    @pytest.mark.parametrize("field", [2, 3, "Q"])
+    def test_orbit_reduction_and_memo_change_nothing(self, field):
+        # Against the same sweep over every subset (no orbit reduction) and
+        # over one subset per call, each call with a fresh memo (no memo).
+        graphs = _all_circulants(8)
+        graphs += [circulant(9, {1, 3}), circulant(9, {2, 4}), circulant(10, {1, 5}), circulant(10, {2, 3, 5})]
+        for g in graphs:
+            masks = range(1, 1 << g.n)
+            entries = hochster_betti_table(g, field).entries
+            assert _sweep_chunk(g.adj, field, [(m, 1) for m in masks]) == entries, (g.n, g.edges)
+            unshared: dict = {}
+            for m in masks:
+                for cell, v in _sweep_chunk(g.adj, field, [(m, 1)]).items():
+                    unshared[cell] = unshared.get(cell, 0) + v
+            assert unshared == entries, (g.n, g.edges)
 
     def test_generator_count_entry(self):
         rng = random.Random(89)
@@ -194,6 +223,58 @@ class TestDeterminismAndSymmetry:
                 assert t.beta(a, n) == dims.get(n - a - 2, 0)
             signed = sum((-1) ** (n - a) * t.beta(a, n) for a in range(n + 1))
             assert signed == cx.euler_char()
+
+
+def _closed(n, edges, f):
+    """Edge set closed under the vertex map f."""
+    out = set()
+    for i, j in edges:
+        for _ in range(2 * n):
+            out.add((min(i, j), max(i, j)))
+            i, j = f(i), f(j)
+    return out
+
+
+class TestOrbitReps:
+    def test_matches_brute_force_orbits(self):
+        rng = random.Random(131)
+        graphs = _all_circulants(10)
+        graphs += [circulant(11, {1, 3}), circulant(12, {1, 6}), circulant(13, {2, 5}), circulant(14, {1, 4, 7})]
+        graphs.append(Graph(2, [(0, 1)]))  # K2: the reflection is the identity
+        for n in range(3, 13):
+            pairs = [e for e in combinations(range(n), 2) if rng.random() < 0.3]
+            g = Graph(n, _closed(n, pairs, lambda v: (n - v) % n))
+            if g.edges and not _rotation_is_automorphism(g):
+                assert _reflection_is_automorphism(g)
+                graphs.append(g)
+        asymmetric = Graph(8, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7), (0, 2)])
+        assert not _rotation_is_automorphism(asymmetric)
+        assert not _reflection_is_automorphism(asymmetric)
+        graphs.append(asymmetric)
+        assert sum(1 for g in graphs if g.n >= 3 and not _rotation_is_automorphism(g)) >= 6
+        for g in graphs:
+            assert _subset_orbit_reps(g) == naive_ref.orbit_reps(g), (g.n, sorted(g.edges))
+
+    def test_cycle_orbits_are_the_binary_bracelets(self):
+        # OEIS A000029(n), the number of binary bracelets of length n, counts
+        # the empty subset too.
+        bracelets = {
+            3: 4, 4: 6, 5: 8, 6: 13, 7: 18, 8: 30, 9: 46, 10: 78, 11: 126, 12: 224,
+            13: 380, 14: 687, 15: 1224, 16: 2250, 17: 4112, 18: 7685, 19: 14310, 20: 27012,
+        }
+        for n, count in bracelets.items():
+            reps = _subset_orbit_reps(circulant(n, {1}))
+            assert len(reps) == count - 1, n
+            assert sum(size for _, size in reps) == 2**n - 1, n
+
+    def test_rotation_implies_reflection(self):
+        rng = random.Random(137)
+        for _ in range(40):
+            n = rng.randint(2, 12)
+            pairs = [e for e in combinations(range(n), 2) if rng.random() < 0.2]
+            g = Graph(n, _closed(n, pairs, lambda v: (v + 1) % n))
+            assert _rotation_is_automorphism(g)
+            assert _reflection_is_automorphism(g), (n, sorted(g.edges))
 
 
 class TestCrossField:
