@@ -28,7 +28,6 @@ Comput. 2001).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from concurrent.futures import ProcessPoolExecutor
 from typing import Callable, Optional, Sequence
 
 from ._bitops import bits
@@ -275,7 +274,8 @@ def _fold(adj: Sequence[int], mask: int) -> int:
 
 
 def _sweep_chunk(adj: Sequence[int], field, items: Sequence[tuple[int, int]]) -> dict:
-    """Partial Hochster sums for one list of (subset, multiplicity) pairs."""
+    """Hochster sums over (subset, multiplicity) pairs: the whole sweep when
+    *items* are the orbit representatives, with one memo across all of them."""
     entries: dict[tuple[int, int], int] = {}
     # Homology by relabelled adjacency of the folded graph, and by the folded
     # vertex set, which many subsets share, so that key is built once per set.
@@ -330,6 +330,7 @@ def hochster_betti_table(
 
     Edgeless graphs give the distinguished zero-ideal table.  The sweep is
     exponential in the vertex count and refuses graphs above *vertex_limit*.
+    It is serial: *workers* is accepted for compatibility and ignored.
     """
     field = normalize_field(field)
     if g.n > vertex_limit:
@@ -339,28 +340,17 @@ def hochster_betti_table(
         )
     if not g.edges:
         return BettiTable(g.n, field, {}, zero_ideal=True)
-    reps = _subset_orbit_reps(g)
-    if workers <= 1 or len(reps) < 64:
-        entries = _sweep_chunk(g.adj, field, reps)
-    else:
-        chunk_count = min(workers * 4, len(reps))
-        size = (len(reps) + chunk_count - 1) // chunk_count
-        chunks = [reps[k : k + size] for k in range(0, len(reps), size)]
-        entries = {}
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for part in pool.map(_sweep_chunk, [g.adj] * len(chunks), [field] * len(chunks), chunks):
-                for cell, v in part.items():
-                    entries[cell] = entries.get(cell, 0) + v
+    entries = _sweep_chunk(g.adj, field, _subset_orbit_reps(g))
     return BettiTable(g.n, field, entries)
 
 
-def betti_across_fields(g: Graph, fields=(2, 3, RATIONALS), workers: int = 1):
+def betti_across_fields(g: Graph, fields=(2, 3, RATIONALS)):
     """Betti tables over several fields plus an agreement flag.
 
     Disagreement is possible (homology of independence complexes can depend
     on the field) and is surfaced to the caller, never resolved silently.
     """
-    tables = {field_name(f): hochster_betti_table(g, f, workers=workers) for f in fields}
+    tables = {field_name(f): hochster_betti_table(g, f) for f in fields}
     vals = list(tables.values())
     agree = all(t.entries == vals[0].entries for t in vals[1:])
     return tables, agree

@@ -10,18 +10,13 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import inspect
 import json
 import os
 import sys
 import tempfile
 
-from .betti import (
-    BettiTable,
-    VertexLimitError,
-    ZeroIdealError,
-    DEFAULT_VERTEX_LIMIT,
-    hochster_betti_table,
-)
+from .betti import BettiTable, DEFAULT_VERTEX_LIMIT, hochster_betti_table
 from .complexes import independence_polynomial
 from .formulas import (
     CubicParams,
@@ -38,7 +33,6 @@ from .graphs import (
     family_b,
     family_d,
     graph_from_json,
-    graph_to_json_dict,
     moebius,
     prism,
 )
@@ -90,7 +84,7 @@ CACHE_FORMAT = 2
 
 def _graph_cache_key(g: Graph, field) -> str:
     payload = json.dumps(
-        {"format": CACHE_FORMAT, "graph": graph_to_json_dict(g), "field": field_name(field)},
+        {"format": CACHE_FORMAT, "graph": g.to_json_dict(), "field": field_name(field)},
         sort_keys=True,
     )
     return hashlib.sha256(payload.encode()).hexdigest()
@@ -119,14 +113,15 @@ def _table_for(g: Graph, field, args) -> BettiTable:
     cache_dir = getattr(args, "cache", None)
     use_cache = cache_dir and not getattr(args, "no_cache", False)
     if use_cache:
-        os.makedirs(cache_dir, exist_ok=True)
+        try:
+            os.makedirs(cache_dir, exist_ok=True)
+        except OSError as exc:
+            raise ValueError(f"cannot use cache directory {cache_dir!r}: {exc}") from exc
         path = os.path.join(cache_dir, _graph_cache_key(g, field) + ".json")
         table = _read_cached(path, g, field)
         if table is not None:
             return table
-    table = hochster_betti_table(
-        g, field, workers=args.workers, vertex_limit=args.limit_vertices
-    )
+    table = hochster_betti_table(g, field, vertex_limit=args.limit_vertices)
     if use_cache:
         # A reader sees the old entry or the whole new one, never a partial write.
         fd, tmp = tempfile.mkstemp(dir=cache_dir, suffix=".tmp")
@@ -157,7 +152,7 @@ def _fail(args, message: str, code: int) -> int:
 
 def _cmd_gen(args) -> int:
     g = parse_graph_spec(args.graph)
-    print(json.dumps(graph_to_json_dict(g), sort_keys=True))
+    print(json.dumps(g.to_json_dict(), sort_keys=True))
     return 0
 
 
@@ -243,22 +238,15 @@ def _cmd_formula(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    kwargs: dict = {}
-    if args.suite in ("theorem1", "theorem2", "lemmas"):
+    # Each suite gets the flags its signature names; unset ones keep its defaults.
+    takes = inspect.signature(SUITES[args.suite]).parameters
+    kwargs = {
+        name: getattr(args, name)
+        for name in ("nmax", "tmax", "count", "seed")
+        if name in takes and getattr(args, name) is not None
+    }
+    if "field" in takes:
         kwargs["field"] = normalize_field(args.field)
-        kwargs["workers"] = args.workers
-    if args.nmax is not None:
-        if args.suite == "properties":
-            kwargs["nmax"] = args.nmax
-        elif args.suite in ("theorem1", "theorem2", "lemmas", "hoshino"):
-            kwargs["nmax"] = args.nmax
-    if args.tmax is not None and args.suite == "lemmas":
-        kwargs["tmax"] = args.tmax
-    if args.suite == "properties":
-        kwargs["count"] = args.count
-        kwargs["seed"] = args.seed
-        kwargs["field"] = normalize_field(args.field)
-        kwargs["workers"] = args.workers
     try:
         report = run_suite(args.suite, **kwargs)
     except ValueError as exc:
@@ -284,7 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common(p, cache=False):
         p.add_argument("--json", action="store_true", help="machine-readable output")
         p.add_argument("--field", default="2", help="coefficient field: a prime or Q")
-        p.add_argument("--workers", type=int, default=1, help="parallel sweep workers")
+        p.add_argument("--workers", type=int, default=1, help="accepted and ignored: the sweep is serial")
         p.add_argument(
             "--limit-vertices",
             type=int,
@@ -353,11 +341,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("suite", choices=sorted(SUITES))
     p.add_argument("--nmax", type=int, default=None)
     p.add_argument("--tmax", type=int, default=None)
-    p.add_argument("--count", type=int, default=200)
-    p.add_argument("--seed", type=int, default=1729)
+    p.add_argument("--count", type=int, default=None)
+    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--json", action="store_true")
     p.add_argument("--field", default="2")
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int, default=1, help="accepted and ignored: the sweep is serial")
     p.set_defaults(func=_cmd_verify)
 
     return parser
@@ -368,11 +356,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (SpecError, VertexLimitError) as exc:
-        return _fail(args, str(exc), 2)
-    except ZeroIdealError as exc:
-        return _fail(args, str(exc), 2)
-    except ValueError as exc:
+    except ValueError as exc:  # bad input, including spec, vertex-limit and zero-ideal errors
         return _fail(args, str(exc), 2)
 
 

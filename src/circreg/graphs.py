@@ -519,7 +519,7 @@ def graph_from_json_dict(d: dict) -> Graph:
 
 
 def graph_to_json(g: Graph) -> str:
-    return json.dumps(graph_to_json_dict(g), sort_keys=True)
+    return json.dumps(g.to_json_dict(), sort_keys=True)
 
 
 def graph_from_json(text: str) -> Graph:

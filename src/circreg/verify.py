@@ -70,16 +70,15 @@ def chi_report(g: Graph, fields=(2,)) -> dict:
 class _TableCache:
     """Per-suite memo so repeated base graphs are swept once."""
 
-    def __init__(self, field, workers: int):
+    def __init__(self, field):
         self.field = field
-        self.workers = workers
         self._store: dict = {}
 
     def table(self, g: Graph) -> BettiTable:
         key = (g.n, g.edges)
         t = self._store.get(key)
         if t is None:
-            t = hochster_betti_table(g, self.field, workers=self.workers)
+            t = hochster_betti_table(g, self.field)
             self._store[key] = t
         return t
 
@@ -98,11 +97,11 @@ def _finish(name: str, params: dict, instances: list[dict]) -> dict:
     }
 
 
-def verify_theorem1(nmax: int = 12, field=2, workers: int = 1) -> dict:
+def verify_theorem1(nmax: int = 12, field=2) -> dict:
     """Closed form for the near-complete circulants against the oracle."""
     if nmax < 4:
         raise ValueError("theorem1 sweep needs nmax >= 4")
-    cache = _TableCache(field, workers)
+    cache = _TableCache(field)
     instances = []
     for n in range(4, nmax + 1):
         for j in range(1, n // 2 + 1):
@@ -161,12 +160,12 @@ def _decision_record(kind: str, n: int, cache: _TableCache) -> dict:
     }
 
 
-def verify_theorem2(nmax: int = 7, field=2, workers: int = 1) -> dict:
+def verify_theorem2(nmax: int = 7, field=2) -> dict:
     """Cubic circulant regularity: closed form vs direct sweep vs the
     component decomposition, plus the Euler-sign decision replication."""
     if nmax < 2:
         raise ValueError("theorem2 sweep needs nmax >= 2")
-    cache = _TableCache(field, workers)
+    cache = _TableCache(field)
     instances = []
     for n in range(2, nmax + 1):
         for a in range(1, n):
@@ -197,11 +196,11 @@ def verify_theorem2(nmax: int = 7, field=2, workers: int = 1) -> dict:
     return _finish("theorem2", {"nmax": nmax, "field": field_name(field)}, instances)
 
 
-def verify_lemmas(tmax: int = 5, nmax: int = 7, field=2, workers: int = 1) -> dict:
+def verify_lemmas(tmax: int = 5, nmax: int = 7, field=2) -> dict:
     """Ladder-family base values and bounds, and the cubic reg/pd bounds."""
     if tmax < 2 or nmax < 4:
         raise ValueError("lemmas sweep needs tmax >= 2 and nmax >= 4")
-    cache = _TableCache(field, workers)
+    cache = _TableCache(field)
     instances = []
 
     base_values = [
@@ -316,13 +315,12 @@ def verify_properties(
     nmax: int = 9,
     seed: int = DEFAULT_SEED,
     field=2,
-    workers: int = 1,
 ) -> dict:
     """Randomized graphs through the property harness, reproducibly seeded."""
     if count < 1 or nmax < 4:
         raise ValueError("property sweep needs count >= 1 and nmax >= 4")
     rng = random.Random(seed)
-    cache = _TableCache(field, workers)
+    cache = _TableCache(field)
     instances = []
     for idx in range(count):
         t0 = time.perf_counter()

@@ -1,9 +1,13 @@
 """Command-line surface: spec strings, output formats, exit codes, cache."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import circreg
 import circreg.cli as cli
 from circreg.cli import main, parse_graph_spec
 from circreg.graphs import circulant, family_b, graph_to_json, moebius
@@ -87,6 +91,30 @@ class TestCommands:
         code, out, _ = run(capsys, "reg", "circulant:5:1", "--field", "Q", "--json")
         assert code == 0 and json.loads(out)["reg"] == 3
 
+    @pytest.mark.parametrize(
+        "suite, flags, params",
+        [
+            ("theorem1", ["--nmax", "5", "--field", "3"], {"nmax": 5, "field": "3"}),
+            ("theorem2", ["--nmax", "3", "--field", "Q"], {"nmax": 3, "field": "Q"}),
+            (
+                "lemmas",
+                ["--tmax", "2", "--nmax", "4", "--field", "3"],
+                {"tmax": 2, "nmax": 4, "field": "3"},
+            ),
+            # hoshino takes no field, so an invalid one is not even parsed.
+            ("hoshino", ["--nmax", "3", "--field", "6"], {"nmax": 3}),
+            (
+                "properties",
+                ["--count", "2", "--seed", "9", "--nmax", "5", "--field", "Q"],
+                {"count": 2, "seed": 9, "nmax": 5, "field": "Q"},
+            ),
+        ],
+    )
+    def test_verify_routes_flags_to_suite(self, capsys, suite, flags, params):
+        code, out, _ = run(capsys, "verify", suite, "--json", "--workers", "3", *flags)
+        assert code == 0
+        assert json.loads(out)["params"] == params
+
 
 class TestExitCodes:
     def test_bad_spec_exits_2(self, capsys):
@@ -168,6 +196,13 @@ class TestCacheAndDeterminism:
         assert code == 0 and warm == cold
         assert json.loads(cold)["reg"] == 3
 
+    def test_cache_path_that_is_a_file_exits_2(self, capsys, tmp_path):
+        not_a_dir = tmp_path / "cache"
+        not_a_dir.write_text("")
+        code, out, _ = run(capsys, "betti", "moebius:3", "--json", "--cache", str(not_a_dir))
+        assert code == 2
+        assert "cache" in json.loads(out)["error"]
+
     def test_workers_byte_identical(self, capsys):
         _, a, _ = run(capsys, "betti", "moebius:5", "--json", "--workers", "1")
         _, b, _ = run(capsys, "betti", "moebius:5", "--json", "--workers", "8")
@@ -195,3 +230,18 @@ class TestCacheAndDeterminism:
             return data
 
         assert normalize(a) == normalize(b)
+
+
+def test_import_loads_no_process_pool():
+    # The sweep is serial, so no CLI start should pay for importing a
+    # process pool.
+    probe = (
+        "import sys, circreg, circreg.cli; "
+        "print(sorted({'concurrent.futures.process', 'multiprocessing'} & set(sys.modules)))"
+    )
+    src = os.path.dirname(os.path.dirname(circreg.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True, timeout=60
+    ).stdout
+    assert out.strip() == "[]"
