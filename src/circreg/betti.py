@@ -28,7 +28,7 @@ Comput. 2001).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from ._bitops import bits
 from .graphs import Graph, is_cochordal_cover
@@ -39,6 +39,7 @@ __all__ = [
     "ZeroIdealError",
     "VertexLimitError",
     "hochster_betti_table",
+    "induced_betti_tables",
     "regularity",
     "projective_dimension",
     "RegDecision",
@@ -46,6 +47,7 @@ __all__ = [
     "PropertyCheck",
     "PropertyReport",
     "property_suite",
+    "property_vertex_sets",
     "betti_across_fields",
 ]
 
@@ -277,6 +279,15 @@ def _sweep_chunk(adj: Sequence[int], field, items: Sequence[tuple[int, int]]) ->
     """Hochster sums over (subset, multiplicity) pairs: the whole sweep when
     *items* are the orbit representatives, with one memo across all of them."""
     entries: dict[tuple[int, int], int] = {}
+    for _, cell, value in _contributions(adj, field, items):
+        entries[cell] = entries.get(cell, 0) + value
+    return entries
+
+
+def _contributions(adj: Sequence[int], field, items: Iterable[tuple[int, int]]):
+    """Yield (mask, (i, j), value) for each Betti cell a (subset, multiplicity)
+    pair adds to: j is the subset size, and each nonzero reduced homology
+    dimension of the restriction, times the multiplicity, goes to its cell."""
     # Homology by relabelled adjacency of the folded graph, and by the folded
     # vertex set, which many subsets share, so that key is built once per set.
     memo: dict[tuple, dict[int, int]] = {}
@@ -290,9 +301,7 @@ def _sweep_chunk(adj: Sequence[int], field, items: Sequence[tuple[int, int]]) ->
             dims = by_core[core] = _core_homology(adj, core, field, memo)
         j = mask.bit_count()
         for d, dim in dims.items():
-            cell = (j - d - 2, j)
-            entries[cell] = entries.get(cell, 0) + count * dim
-    return entries
+            yield mask, (j - d - 2, j), count * dim
 
 
 def _core_homology(adj: Sequence[int], core: int, field, memo: dict) -> dict[int, int]:
@@ -333,15 +342,57 @@ def hochster_betti_table(
     It is serial: *workers* is accepted for compatibility and ignored.
     """
     field = normalize_field(field)
+    _check_vertex_limit(g, vertex_limit)
+    if not g.edges:
+        return BettiTable(g.n, field, {}, zero_ideal=True)
+    entries = _sweep_chunk(g.adj, field, _subset_orbit_reps(g))
+    return BettiTable(g.n, field, entries)
+
+
+def induced_betti_tables(
+    g: Graph,
+    field,
+    vertex_sets: Iterable[Iterable[int]],
+) -> list[BettiTable]:
+    """Betti tables of the induced subgraphs g[W], in the order of
+    *vertex_sets*, from one sweep of g.
+
+    Restriction lemma (H. T. Hà and A. Van Tuyl, "Monomial ideals, edge
+    ideals of hypergraphs, and their graded Betti numbers", J. Algebraic
+    Combin. 2008): the table of g[W] is Hochster's sum taken over the subsets
+    of W alone.  So every nonempty subset of g is swept once, with no orbit
+    reduction because the sets need not be invariant, and each table sums
+    the subsets inside its W.  Each g[W] is relabelled as by Graph.induced;
+    an edgeless one gives the zero-ideal table.
+    """
+    field = normalize_field(field)
+    _check_vertex_limit(g, DEFAULT_VERTEX_LIMIT)
+    tables: list[tuple[int, dict]] = []  # (W as a mask, its entries)
+    for vs in vertex_sets:
+        w = 0
+        for v in vs:
+            if not 0 <= v < g.n:
+                raise ValueError(f"vertex {v} out of range")
+            w |= 1 << v
+        tables.append((w, {}))
+    items = ((m, 1) for m in range(1, 1 << g.n))
+    for mask, cell, value in _contributions(g.adj, field, items):
+        for w, entries in tables:
+            if not mask & ~w:
+                entries[cell] = entries.get(cell, 0) + value
+    # Each edge inside W gives beta(0,2) a 1, so no entries means no edges.
+    return [
+        BettiTable(w.bit_count(), field, entries, zero_ideal=not entries)
+        for w, entries in tables
+    ]
+
+
+def _check_vertex_limit(g: Graph, vertex_limit: int) -> None:
     if g.n > vertex_limit:
         raise VertexLimitError(
             f"graph has {g.n} vertices; the sweep is limited to {vertex_limit}"
             " (pass a larger vertex_limit to override)"
         )
-    if not g.edges:
-        return BettiTable(g.n, field, {}, zero_ideal=True)
-    entries = _sweep_chunk(g.adj, field, _subset_orbit_reps(g))
-    return BettiTable(g.n, field, entries)
 
 
 def betti_across_fields(g: Graph, fields=(2, 3, RATIONALS)):
@@ -464,6 +515,26 @@ def _reg_ideal(oracle: Callable[[Graph], BettiTable], g: Graph) -> int:
     return oracle(g).regularity
 
 
+def property_vertex_sets(
+    g: Graph,
+) -> tuple[list[list[int]], list[tuple[list[int], list[int]]]]:
+    """The vertex sets W whose induced subgraphs g[W] property_suite reads
+    tables of: the connected components when there are at least two, and
+    the pair (V - N[x], V - {x}) for each vertex x.  Both lists are empty
+    for an edgeless graph, whose checks read no table."""
+    if not g.edges:
+        return [], []
+    comps = g.connected_components()
+    deletions = []
+    for x in range(g.n):
+        dropped = g.adj[x] | (1 << x)
+        deletions.append((
+            [v for v in range(g.n) if not dropped >> v & 1],
+            [v for v in range(g.n) if v != x],
+        ))
+    return (comps if len(comps) >= 2 else []), deletions
+
+
 def property_suite(
     g: Graph,
     table: Optional[BettiTable],
@@ -482,14 +553,11 @@ def property_suite(
     checks: list[PropertyCheck] = []
     has_edges = bool(g.edges)
     reg = table.regularity if has_edges else None
+    comp_sets, deletion_sets = property_vertex_sets(g)
 
-    comps = g.connected_components()
-    applicable = len(comps) >= 2 and has_edges
+    applicable = bool(comp_sets)
     if applicable:
-        total = 0
-        for comp in comps:
-            sub = g.induced(comp)[0]
-            total += _reg_ideal(oracle, sub) - 1
+        total = sum(_reg_ideal(oracle, g.induced(vs)[0]) - 1 for vs in comp_sets)
         passed = reg - 1 == total
         detail = f"reg(R/I)={reg - 1}, component sum={total}"
     else:
@@ -524,9 +592,9 @@ def property_suite(
 
     if has_edges:
         bad = []
-        for x in range(g.n):
-            drop_nbhd = _reg_ideal(oracle, g.without_closed_neighborhood(x)) + 1
-            drop_vertex = _reg_ideal(oracle, g.without_vertex(x))
+        for x, (nbhd_set, vertex_set) in enumerate(deletion_sets):
+            drop_nbhd = _reg_ideal(oracle, g.induced(nbhd_set)[0]) + 1
+            drop_vertex = _reg_ideal(oracle, g.induced(vertex_set)[0])
             if reg not in (drop_nbhd, drop_vertex):
                 bad.append((x, drop_nbhd, drop_vertex))
         passed = not bad
@@ -539,10 +607,9 @@ def property_suite(
         h, k = edge_partition
         applicable = bool(h.edges) and bool(k.edges) and has_edges
         if applicable:
-            rh = _reg_ideal(oracle, h) - 1
-            rk = _reg_ideal(oracle, k) - 1
-            ph = oracle(h).projective_dimension
-            pk = oracle(k).projective_dimension
+            th, tk = oracle(h), oracle(k)
+            rh, rk = th.regularity - 1, tk.regularity - 1
+            ph, pk = th.projective_dimension, tk.projective_dimension
             pg = table.projective_dimension
             passed = (reg - 1 <= rh + rk) and (pg <= ph + pk + 1)
             detail = f"reg(R/I)={reg - 1}<={rh}+{rk}; pd={pg}<={ph}+{pk}+1"

@@ -16,13 +16,16 @@ import time
 from typing import Optional
 
 from .betti import (
+    DEFAULT_VERTEX_LIMIT,
     BettiTable,
     OUTCOME_REGULARITY,
     PD_BOUND_LOOSE,
     PD_BOUND_TIGHT,
     decide_regularity,
     hochster_betti_table,
+    induced_betti_tables,
     property_suite,
+    property_vertex_sets,
 )
 from .complexes import (
     euler_via_independence,
@@ -68,7 +71,7 @@ def chi_report(g: Graph, fields=(2,)) -> dict:
 
 
 class _TableCache:
-    """Per-suite memo so repeated base graphs are swept once."""
+    """Per-suite memo of tables by graph, so repeated graphs are swept once."""
 
     def __init__(self, field):
         self.field = field
@@ -84,6 +87,23 @@ class _TableCache:
 
     def reg(self, g: Graph) -> int:
         return self.table(g).regularity
+
+    def sweep_induced(self, g: Graph, vertex_sets: list) -> None:
+        """Store the tables of g and of each g[W] from one sweep of g."""
+        sets = [range(g.n), *vertex_sets]
+        for vs, t in zip(sets, induced_betti_tables(g, self.field, sets)):
+            sub = g.induced(vs)[0]
+            self._store.setdefault((sub.n, sub.edges), t)
+
+
+def _check_size(suite: str, vertices: int) -> None:
+    """Refuse a suite whose largest graph is over the sweep's vertex limit
+    before it sweeps anything."""
+    if vertices > DEFAULT_VERTEX_LIMIT:
+        raise ValueError(
+            f"{suite} sweep would reach graphs on {vertices} vertices;"
+            f" the sweep is limited to {DEFAULT_VERTEX_LIMIT}"
+        )
 
 
 def _finish(name: str, params: dict, instances: list[dict]) -> dict:
@@ -101,6 +121,7 @@ def verify_theorem1(nmax: int = 12, field=2) -> dict:
     """Closed form for the near-complete circulants against the oracle."""
     if nmax < 4:
         raise ValueError("theorem1 sweep needs nmax >= 4")
+    _check_size("theorem1", nmax)
     cache = _TableCache(field)
     instances = []
     for n in range(4, nmax + 1):
@@ -165,6 +186,7 @@ def verify_theorem2(nmax: int = 7, field=2) -> dict:
     component decomposition, plus the Euler-sign decision replication."""
     if nmax < 2:
         raise ValueError("theorem2 sweep needs nmax >= 2")
+    _check_size("theorem2", 2 * nmax)
     cache = _TableCache(field)
     instances = []
     for n in range(2, nmax + 1):
@@ -200,6 +222,7 @@ def verify_lemmas(tmax: int = 5, nmax: int = 7, field=2) -> dict:
     """Ladder-family base values and bounds, and the cubic reg/pd bounds."""
     if tmax < 2 or nmax < 4:
         raise ValueError("lemmas sweep needs tmax >= 2 and nmax >= 4")
+    _check_size("lemmas", max(2 * tmax + 4, 2 * nmax))
     cache = _TableCache(field)
     instances = []
 
@@ -319,6 +342,7 @@ def verify_properties(
     """Randomized graphs through the property harness, reproducibly seeded."""
     if count < 1 or nmax < 4:
         raise ValueError("property sweep needs count >= 1 and nmax >= 4")
+    _check_size("property", nmax)
     rng = random.Random(seed)
     cache = _TableCache(field)
     instances = []
@@ -343,6 +367,8 @@ def verify_properties(
             chosen = set(left)
             right = [e for e in edges if e not in chosen]
             partition = (Graph(g.n, left), Graph(g.n, right))
+        comp_sets, deletion_sets = property_vertex_sets(g)
+        cache.sweep_induced(g, [*comp_sets, *(vs for pair in deletion_sets for vs in pair)])
         report = property_suite(g, None, cache.table, edge_partition=partition)
         instances.append(
             {

@@ -21,8 +21,10 @@ from circreg.betti import (
     betti_across_fields,
     decide_regularity,
     hochster_betti_table,
+    induced_betti_tables,
     projective_dimension,
     property_suite,
+    property_vertex_sets,
     regularity,
 )
 from circreg.complexes import euler_via_independence, independence_complex
@@ -153,6 +155,35 @@ class TestAgainstNaiveSweep:
                     unshared[cell] = unshared.get(cell, 0) + v
             assert unshared == entries, (g.n, g.edges)
 
+    @pytest.mark.parametrize("field", [2, 3, "Q"])
+    def test_induced_tables_on_all_five_vertex_graphs(self, field):
+        pairs = list(combinations(range(5), 2))
+        swept: dict = {}
+        for m in range(1 << len(pairs)):
+            g = Graph(5, [e for k, e in enumerate(pairs) if m >> k & 1])
+            _assert_induced_tables_match(g, field, swept)
+
+    @pytest.mark.parametrize("field", [2, 3, "Q"])
+    def test_induced_tables_on_seeded_sample_and_circulants(self, field):
+        rng = random.Random(107)
+        graphs = [random_graph(n, rng.uniform(0.2, 0.8), rng) for n in (6, 6, 7, 7, 8, 8)]
+        graphs += [circulant(7, {1, 2}), circulant(8, {1, 4}), circulant(8, {2, 3})]
+        graphs.append(Graph(7, [(0, 1), (2, 3), (3, 4)]))  # isolated vertices, three components
+        swept: dict = {}
+        for g in graphs:
+            _assert_induced_tables_match(g, field, swept)
+
+    @pytest.mark.parametrize("field", [2, "Q"])
+    def test_induced_tables_of_flag_rp2_depend_on_the_field(self, field):
+        g = Graph(12, RP2_EDGES)
+        sets = [range(12)] + [[v for v in range(12) if v != x] for x in range(12)]
+        tables = induced_betti_tables(g, field, sets)
+        for vs, t in zip(sets, tables):
+            swept = hochster_betti_table(g.induced(vs)[0], field)
+            assert t == swept and t.to_json_dict() == swept.to_json_dict(), (field, list(vs))
+        expected = {2: (4, 9), "Q": (3, 8)}[field]
+        assert (tables[0].regularity, tables[0].projective_dimension) == expected
+
     def test_generator_count_entry(self):
         rng = random.Random(89)
         for _ in range(15):
@@ -186,6 +217,14 @@ class TestDegenerateAndLimits:
     def test_vertex_limit_names_the_limit(self):
         with pytest.raises(VertexLimitError, match="20"):
             hochster_betti_table(circulant(22, {1}), vertex_limit=20)
+
+    def test_induced_tables_vertex_limit(self):
+        with pytest.raises(VertexLimitError, match="20"):
+            induced_betti_tables(circulant(21, {1}), 2, [range(5)])
+
+    def test_induced_tables_reject_out_of_range_vertices(self):
+        with pytest.raises(ValueError, match="out of range"):
+            induced_betti_tables(cycle_graph(5), 2, [[0, 5]])
 
     def test_vertex_limit_override(self):
         t = hochster_betti_table(cycle_graph(6), vertex_limit=6)
@@ -233,6 +272,20 @@ def _closed(n, edges, f):
             out.add((min(i, j), max(i, j)))
             i, j = f(i), f(j)
     return out
+
+
+def _assert_induced_tables_match(g, field, swept):
+    """induced_betti_tables over every nonempty W against a separate sweep
+    of each g[W]; *swept* holds those sweeps by induced graph, so equal
+    induced graphs are swept once."""
+    sets = [list(bits(w)) for w in range(1, 1 << g.n)]
+    for vs, t in zip(sets, induced_betti_tables(g, field, sets)):
+        sub = g.induced(vs)[0]
+        key = (sub.n, sub.edges)
+        if key not in swept:
+            swept[key] = hochster_betti_table(sub, field)
+        assert t == swept[key], (sorted(g.edges), vs, field)
+        assert t.to_json_dict() == swept[key].to_json_dict(), (sorted(g.edges), vs, field)
 
 
 class TestOrbitReps:
@@ -382,6 +435,32 @@ class TestPropertySuite:
         report = property_suite(g, t, oracle2)
         check = {c.name: c for c in report.checks}["vertex_deletion_membership"]
         assert check.applicable and check.passed
+
+    def test_vertex_set_order(self):
+        g = Graph(4, [(0, 1), (2, 3)])
+        comps, deletions = property_vertex_sets(g)
+        assert comps == [[0, 1], [2, 3]]
+        assert deletions == [  # (V - N[x], V - {x}) for each x
+            ([2, 3], [1, 2, 3]),
+            ([2, 3], [0, 2, 3]),
+            ([0, 1], [0, 1, 3]),
+            ([0, 1], [0, 1, 2]),
+        ]
+        assert property_vertex_sets(path_graph(3)) == (
+            [], [([2], [1, 2]), ([], [0, 2]), ([0], [0, 1])]
+        )
+        assert property_vertex_sets(empty_graph(3)) == ([], [])
+
+    def test_vertex_deletion_reads_the_right_subgraphs(self):
+        # An oracle whose regularity is the vertex count tells G - N[x]
+        # from G - x in the violations it reports.
+        def by_size(h):
+            return BettiTable(h.n, 2, {(0, h.n): 1})
+
+        report = property_suite(path_graph(3), None, by_size)
+        check = {c.name: c for c in report.checks}["vertex_deletion_membership"]
+        assert not check.passed
+        assert check.detail == "reg=3, violations=[(0, 2, 2), (1, 2, 1), (2, 2, 2)]"
 
     def test_cover_witness_bound(self):
         g = circulant(8, {1, 3, 4})

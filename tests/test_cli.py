@@ -9,6 +9,7 @@ import pytest
 
 import circreg
 import circreg.cli as cli
+import circreg.verify as verify
 from circreg.cli import main, parse_graph_spec
 from circreg.graphs import circulant, family_b, graph_to_json, moebius
 
@@ -164,6 +165,30 @@ class TestExitCodes:
     def test_verify_bad_range_exits_2(self, capsys, argv):
         code, _, _ = run(capsys, *argv)
         assert code == 2
+
+
+    @pytest.mark.parametrize(
+        "argv, vertices",
+        [
+            (("verify", "theorem1", "--nmax", "21"), 21),
+            (("verify", "theorem2", "--nmax", "11"), 22),
+            (("verify", "lemmas", "--tmax", "9"), 22),
+            (("verify", "lemmas", "--nmax", "11"), 22),
+            (("verify", "properties", "--nmax", "21"), 21),
+        ],
+    )
+    def test_verify_over_vertex_limit_exits_2_before_sweeping(self, capsys, monkeypatch, argv, vertices):
+        def no_sweep(*args, **kwargs):
+            raise AssertionError("swept a graph before refusing the suite")
+
+        monkeypatch.setattr(verify, "hochster_betti_table", no_sweep)
+        monkeypatch.setattr(verify, "induced_betti_tables", no_sweep)
+        monkeypatch.setattr(verify, "chi_report", no_sweep)
+        code, out, _ = run(capsys, *argv, "--json")
+        assert code == 2
+        error = json.loads(out)["error"]
+        assert f"{vertices} vertices" in error and "20" in error
+        assert "vertex_limit" not in error
 
 
 class TestCacheAndDeterminism:

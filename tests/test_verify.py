@@ -1,0 +1,44 @@
+"""The properties suite reads its tables off one sweep per graph; every
+seeded table must equal a separate sweep of its induced graph, and the
+default report must not change."""
+
+import hashlib
+import json
+
+import circreg.verify as verify
+from circreg.betti import hochster_betti_table, property_vertex_sets
+
+# sha256 of the default properties report (count 200, nmax 9, seed 1729,
+# GF(2)) with the wall_ms fields removed, as the suite produced it when it
+# swept every induced subgraph separately.
+DEFAULT_PROPERTIES_SHA256 = "97f1efc30fbc5d4f543fef5e3747999759f9e36517f1c635e17f7e879b5915df"
+
+
+def test_properties_seeded_tables_equal_separate_sweeps(monkeypatch):
+    seeded = []
+    induced_betti_tables = verify.induced_betti_tables
+
+    def recording(g, field, vertex_sets):
+        vertex_sets = [list(vs) for vs in vertex_sets]
+        tables = induced_betti_tables(g, field, vertex_sets)
+        seeded.append((g, field, vertex_sets, tables))
+        return tables
+
+    monkeypatch.setattr(verify, "induced_betti_tables", recording)
+    report = verify.verify_properties()
+    monkeypatch.undo()
+
+    assert len(seeded) == 200
+    for g, _field, vertex_sets, tables in seeded:
+        comps, deletions = property_vertex_sets(g)
+        assert vertex_sets == [list(range(g.n)), *comps, *(vs for pair in deletions for vs in pair)]
+        assert len(tables) == len(vertex_sets)
+        for vs, t in zip(vertex_sets, tables):
+            # The suite's default field is GF(2); equality compares fields too.
+            assert t == hochster_betti_table(g.induced(vs)[0], 2), (sorted(g.edges), vs)
+
+    assert report["ok"]
+    for rec in report["instances"]:
+        rec.pop("wall_ms")
+    digest = hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest()
+    assert digest == DEFAULT_PROPERTIES_SHA256
