@@ -14,6 +14,11 @@ the reduction is exact over every field.  An isolated vertex is the
 degenerate fold: the restriction is a cone and the subset is skipped.
 Otherwise the homology is computed once per folded graph up to
 relabelling, while the entry still uses the size j of the original subset.
+The fold reads neighbourhood unions and intersections off lookup tables
+built once per sweep: the vertices split into a low and a high half, and
+for every subset of each half one table holds the union and one the
+intersection of its vertices' neighbourhoods, so any vertex set's union or
+intersection is one lookup per half (2^ceil(n/2) entries per table).
 When the vertex relabelling v -> v+1 (mod n) or v -> -v (mod n) is an
 automorphism, only one subset per orbit is computed and its contribution
 multiplied by the orbit size.  Under the rotation the orbits are binary
@@ -22,7 +27,8 @@ Maiorana algorithm (K. Cattell et al., "Fast algorithms to generate
 necklaces, unlabeled necklaces, and irreducible polynomials over GF(2)",
 J. Algorithms 2000) that no rotation of their reversal undercuts
 (J. Sawada, "Generating bracelets in constant amortized time", SIAM J.
-Comput. 2001).
+Comput. 2001); each necklace is reversed by two half-width bit-reversal
+tables.
 """
 
 from __future__ import annotations
@@ -188,9 +194,11 @@ def _subset_orbit_reps(g: Graph) -> list[tuple[int, int]]:
     if n >= 2 and _rotation_is_automorphism(g):
         return _bracelets(n)
     if n >= 3 and _reflection_is_automorphism(g):
+        k, rev_lo, rev_hi = _reversal_tables(n)
+        lo = (1 << k) - 1
         out = []
         for m in range(1, full + 1):
-            r = _reverse(m, n)
+            r = rev_lo[m & lo] | rev_hi[m >> k]
             r = ((r << 1) | (r >> (n - 1))) & full  # v -> n-1-v, then v -> v+1
             if m <= r:
                 out.append((m, 1 if m == r else 2))
@@ -198,9 +206,18 @@ def _subset_orbit_reps(g: Graph) -> list[tuple[int, int]]:
     return [(m, 1) for m in range(1, full + 1)]
 
 
-def _reverse(m: int, n: int) -> int:
-    """*m* with its n low bits in reverse order."""
-    return int(f"{m:0{n}b}"[::-1], 2)
+def _reversal_tables(n: int) -> tuple[int, list[int], list[int]]:
+    """k = ceil(n/2) and two tables that reverse the n low bits of a mask m
+    as rev_lo[m & (2^k - 1)] | rev_hi[m >> k]: rev_lo reverses the low k bits
+    into the top k places, rev_hi the high n - k bits into the bottom ones."""
+    k = (n + 1) // 2
+    tables = []
+    for width, shift in ((k, n - k), (n - k, 0)):
+        rev = [0] * (1 << width)
+        for s in range(1, 1 << width):
+            rev[s] = rev[s >> 1] >> 1 | (s & 1) << (width - 1)
+        tables.append([r << shift for r in rev])
+    return k, tables[0], tables[1]
 
 
 def _bracelets(n: int) -> list[tuple[int, int]]:
@@ -216,6 +233,8 @@ def _bracelets(n: int) -> list[tuple[int, int]]:
     if one of them equals it and 2p otherwise.
     """
     full = (1 << n) - 1
+    k, rev_lo, rev_hi = _reversal_tables(n)
+    lo = (1 << k) - 1
     # A p-bit block times repeat[p] is the block written ceil(n/p) times;
     # shifting right by cut[p] keeps its first n bits.
     repeat = [0] + [((1 << (p * -(-n // p))) - 1) // ((1 << p) - 1) for p in range(1, n + 1)]
@@ -228,7 +247,7 @@ def _bracelets(n: int) -> list[tuple[int, int]]:
         m = ((m >> t) | 1) * repeat[p] >> cut[p]
         if n % p:
             continue
-        r = _reverse(m, n)
+        r = rev_lo[m & lo] | rev_hi[m >> k]
         size = 2 * p
         for _ in range(p):
             if r < m:
@@ -241,18 +260,48 @@ def _bracelets(n: int) -> list[tuple[int, int]]:
     return out
 
 
-def _fold(adj: Sequence[int], mask: int) -> int:
+def _fold_tables(adj: Sequence[int]) -> tuple:
+    """Lookup tables for _fold: (adj, k, low-half mask, union_lo, inter_lo,
+    union_hi, inter_hi).  The n vertices split into the low k = ceil(n/2) and
+    the high n - k; for every sub-mask s of a half, union[s] is the union and
+    inter[s] the intersection of the neighbourhoods of the vertices in s,
+    with 0 and the full mask for the empty s.  Any vertex set's union or
+    intersection is then one lookup per half."""
+    n = len(adj)
+    k = (n + 1) // 2
+    full = (1 << n) - 1
+    tables = []
+    for half in (adj[:k], adj[k:]):
+        union = [0] * (1 << len(half))
+        inter = [full] * (1 << len(half))
+        for s in range(1, 1 << len(half)):
+            low = s & -s
+            a = half[low.bit_length() - 1]
+            union[s] = union[s ^ low] | a
+            inter[s] = inter[s ^ low] & a
+        tables += (union, inter)
+    return (adj, k, (1 << k) - 1, *tables)
+
+
+def _fold(tables: tuple, mask: int) -> int:
     """Vertex set left after folding the graph induced on *mask*, or 0 when
-    its independence complex is a cone.
+    its independence complex is a cone; *tables* are _fold_tables(adj).
 
     Fold lemma: if N(u) is a subset of N(v) for u != v, Ind(G) and Ind(G - v)
     are homotopy equivalent.  The vertices v whose neighbourhood contains
-    N(u) are the common neighbours of N(u) other than u; none of them is
+    N(u) are the common neighbours of N(u) other than u, the intersection of
+    the neighbourhoods over N(u) looked up by halves; none of them is
     adjacent to u, so all are removed at once.  A removal shrinks only its
-    neighbours' neighbourhoods, so only those can play u anew and only they
-    are checked again.  An isolated vertex u has N(u) empty, contained in
-    every neighbourhood, so folding would leave the point u: the cone case.
+    neighbours' neighbourhoods, so only those, the union of the removed
+    vertices' neighbourhoods, can play u anew and are checked again.  An
+    isolated vertex u has N(u) empty, contained in every neighbourhood, so
+    folding would leave the point u: the cone case.  The isolated vertices of
+    the input are those outside the union of its neighbourhoods, and folding
+    never removes one, so a cone input is rejected before the first fold.
     """
+    adj, k, lo, union_lo, inter_lo, union_hi, inter_hi = tables
+    if mask & ~(union_lo[mask & lo] | union_hi[mask >> k]):
+        return 0
     todo = mask
     while todo:
         low = todo & -todo
@@ -260,18 +309,10 @@ def _fold(adj: Sequence[int], mask: int) -> int:
         nbrs = adj[low.bit_length() - 1] & mask
         if not nbrs:
             return 0
-        dominated = mask ^ low
-        rest = nbrs
-        while rest and dominated:
-            w = rest & -rest
-            rest ^= w
-            dominated &= adj[w.bit_length() - 1]
+        dominated = inter_lo[nbrs & lo] & inter_hi[nbrs >> k] & mask & ~low
         if dominated:
             mask ^= dominated
-            touched = 0
-            for v in bits(dominated):
-                touched |= adj[v]
-            todo = (todo | touched) & mask
+            todo = (todo | union_lo[dominated & lo] | union_hi[dominated >> k]) & mask
     return mask
 
 
@@ -292,8 +333,9 @@ def _contributions(adj: Sequence[int], field, items: Iterable[tuple[int, int]]):
     # vertex set, which many subsets share, so that key is built once per set.
     memo: dict[tuple, dict[int, int]] = {}
     by_core: dict[int, dict[int, int]] = {}
+    tables = _fold_tables(adj)
     for mask, count in items:
-        core = _fold(adj, mask)
+        core = _fold(tables, mask)
         if not core:
             continue  # the restriction folds to a cone => acyclic
         dims = by_core.get(core)
@@ -342,7 +384,7 @@ def hochster_betti_table(
     It is serial: *workers* is accepted for compatibility and ignored.
     """
     field = normalize_field(field)
-    _check_vertex_limit(g, vertex_limit)
+    _check_vertex_limit(g, vertex_limit, "vertex_limit")
     if not g.edges:
         return BettiTable(g.n, field, {}, zero_ideal=True)
     entries = _sweep_chunk(g.adj, field, _subset_orbit_reps(g))
@@ -387,11 +429,13 @@ def induced_betti_tables(
     ]
 
 
-def _check_vertex_limit(g: Graph, vertex_limit: int) -> None:
+def _check_vertex_limit(g: Graph, vertex_limit: int, override: str = "") -> None:
+    """Refuse g above the limit; *override* names the setting that raises it,
+    where the caller has one."""
     if g.n > vertex_limit:
+        hint = f" (pass a larger {override} to override)" if override else ""
         raise VertexLimitError(
-            f"graph has {g.n} vertices; the sweep is limited to {vertex_limit}"
-            " (pass a larger vertex_limit to override)"
+            f"graph has {g.n} vertices; the sweep is limited to {vertex_limit}{hint}"
         )
 
 

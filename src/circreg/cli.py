@@ -16,7 +16,7 @@ import os
 import sys
 import tempfile
 
-from .betti import BettiTable, DEFAULT_VERTEX_LIMIT, hochster_betti_table
+from .betti import BettiTable, DEFAULT_VERTEX_LIMIT, _check_vertex_limit, hochster_betti_table
 from .complexes import independence_polynomial
 from .formulas import (
     CubicParams,
@@ -121,6 +121,7 @@ def _table_for(g: Graph, field, args) -> BettiTable:
         table = _read_cached(path, g, field)
         if table is not None:
             return table
+    _check_vertex_limit(g, args.limit_vertices, "--limit-vertices")
     table = hochster_betti_table(g, field, vertex_limit=args.limit_vertices)
     if use_cache:
         # A reader sees the old entry or the whole new one, never a partial write.

@@ -3,7 +3,10 @@
 Everything here works by direct enumeration and textbook row reduction
 (Fractions over the rationals, modular arithmetic otherwise) with none of
 the pruning, symmetry, bit-packing or memoization the library uses, so the
-two routes to each number share no code beyond the definitions.
+two routes to each number share no code beyond the definitions.  The last
+section is the exception: it keeps the per-bit loops that two of the
+sweep's kernels used before they became table lookups, as the references
+the table-driven versions must match exactly.
 """
 
 from __future__ import annotations
@@ -172,3 +175,78 @@ def is_chordal(g: Graph) -> bool:
         if seen == w:
             return False
     return True
+
+
+# -- per-bit versions of the sweep's kernels -----------------------------------
+
+
+def fold(adj, mask: int) -> int:
+    """Engström's fold with a loop over each neighbour and each removed vertex:
+    the vertex set left after folding the graph induced on *mask*, visiting
+    vertices in the same order as circreg.betti._fold, or 0 for a cone."""
+    todo = mask
+    while todo:
+        low = todo & -todo
+        todo ^= low
+        nbrs = adj[low.bit_length() - 1] & mask
+        if not nbrs:
+            return 0
+        dominated = mask ^ low
+        rest = nbrs
+        while rest and dominated:
+            w = rest & -rest
+            rest ^= w
+            dominated &= adj[w.bit_length() - 1]
+        if dominated:
+            mask ^= dominated
+            touched = 0
+            for v in bits(dominated):
+                touched |= adj[v]
+            todo = (todo | touched) & mask
+    return mask
+
+
+def reverse(m: int, n: int) -> int:
+    """*m* with its n low bits in reverse order, by string reversal."""
+    return int(f"{m:0{n}b}"[::-1], 2)
+
+
+def bracelets(n: int) -> list[tuple[int, int]]:
+    """Least member and size of every dihedral orbit of nonzero n-bit masks,
+    by the Fredricksen-Kessler-Maiorana walk of circreg.betti._bracelets with
+    each necklace reversed by string reversal."""
+    full = (1 << n) - 1
+    repeat = [0] + [((1 << (p * -(-n // p))) - 1) // ((1 << p) - 1) for p in range(1, n + 1)]
+    cut = [0] + [p * -(-n // p) - n for p in range(1, n + 1)]
+    out = []
+    m = 0
+    while m != full:
+        t = (m ^ (m + 1)).bit_length() - 1
+        p = n - t
+        m = ((m >> t) | 1) * repeat[p] >> cut[p]
+        if n % p:
+            continue
+        r = reverse(m, n)
+        size = 2 * p
+        for _ in range(p):
+            if r < m:
+                break
+            if r == m:
+                size = p
+            r = ((r << 1) | (r >> (n - 1))) & full
+        else:
+            out.append((m, size))
+    return out
+
+
+def reflection_orbit_reps(n: int) -> list[tuple[int, int]]:
+    """Least member and size of each orbit of nonzero n-bit masks under
+    v -> -v (mod n) alone, by string reversal, ascending."""
+    full = (1 << n) - 1
+    out = []
+    for m in range(1, full + 1):
+        r = reverse(m, n)
+        r = ((r << 1) | (r >> (n - 1))) & full
+        if m <= r:
+            out.append((m, 1 if m == r else 2))
+    return out

@@ -13,8 +13,11 @@ from circreg.betti import (
     BettiTable,
     VertexLimitError,
     ZeroIdealError,
+    _bracelets,
     _fold,
+    _fold_tables,
     _reflection_is_automorphism,
+    _reversal_tables,
     _rotation_is_automorphism,
     _subset_orbit_reps,
     _sweep_chunk,
@@ -222,6 +225,12 @@ class TestDegenerateAndLimits:
         with pytest.raises(VertexLimitError, match="20"):
             induced_betti_tables(circulant(21, {1}), 2, [range(5)])
 
+    def test_induced_tables_vertex_limit_offers_no_override(self):
+        # induced_betti_tables takes no vertex_limit, so the error names none.
+        with pytest.raises(VertexLimitError) as exc:
+            induced_betti_tables(circulant(21, {1}), 2, [range(5)])
+        assert str(exc.value) == "graph has 21 vertices; the sweep is limited to 20"
+
     def test_induced_tables_reject_out_of_range_vertices(self):
         with pytest.raises(ValueError, match="out of range"):
             induced_betti_tables(cycle_graph(5), 2, [[0, 5]])
@@ -320,6 +329,29 @@ class TestOrbitReps:
             assert len(reps) == count - 1, n
             assert sum(size for _, size in reps) == 2**n - 1, n
 
+    def test_reversal_tables_match_string_reversal(self):
+        for n in range(1, 15):
+            k, rev_lo, rev_hi = _reversal_tables(n)
+            for m in range(1 << n):
+                assert rev_lo[m & (1 << k) - 1] | rev_hi[m >> k] == naive_ref.reverse(m, n), (n, m)
+
+    def test_bracelets_match_string_reversal_version(self):
+        for n in range(2, 21):
+            assert _bracelets(n) == naive_ref.bracelets(n), n
+
+    def test_reflection_only_branch_matches_string_reversal_version(self):
+        rng = random.Random(139)
+        checked = 0
+        for n in range(3, 15):
+            pairs = [e for e in combinations(range(n), 2) if rng.random() < 0.3]
+            g = Graph(n, _closed(n, pairs, lambda v: (n - v) % n))
+            if _rotation_is_automorphism(g):
+                continue
+            assert _reflection_is_automorphism(g)
+            assert _subset_orbit_reps(g) == naive_ref.reflection_orbit_reps(n), (n, sorted(g.edges))
+            checked += 1
+        assert checked >= 8
+
     def test_rotation_implies_reflection(self):
         rng = random.Random(137)
         for _ in range(40):
@@ -358,18 +390,24 @@ class TestCrossField:
         assert t.to_csv().splitlines()[0].startswith("i\\j,")
 
 
+def _assert_fold_matches_bit_loop(g, masks):
+    tables = _fold_tables(g.adj)
+    for m in masks:
+        assert _fold(tables, m) == naive_ref.fold(g.adj, m), (g.n, sorted(g.edges), m)
+
+
 class TestFold:
     def test_isolated_vertex_is_a_cone(self):
         c5 = cycle_graph(5)
-        assert _fold(c5.adj, 0b01011) == 0  # vertex 3 has no neighbour in {0, 1, 3}
+        assert _fold(_fold_tables(c5.adj), 0b01011) == 0  # vertex 3 has no neighbour in {0, 1, 3}
 
     def test_c5_has_no_domination(self):
         c5 = cycle_graph(5)
-        assert _fold(c5.adj, c5.full_mask) == c5.full_mask
+        assert _fold(_fold_tables(c5.adj), c5.full_mask) == c5.full_mask
 
     def test_p3_folds_to_an_edge(self):
         p3 = path_graph(3)
-        core = _fold(p3.adj, p3.full_mask)
+        core = _fold(_fold_tables(p3.adj), p3.full_mask)
         edge = p3.induced(bits(core))[0]
         assert edge.n == 2 and edge.edge_count == 1
         for g in (p3, edge):
@@ -378,7 +416,42 @@ class TestFold:
 
     def test_p4_folds_to_a_cone(self):
         p4 = path_graph(4)
-        assert _fold(p4.adj, p4.full_mask) == 0
+        assert _fold(_fold_tables(p4.adj), p4.full_mask) == 0
+
+    def test_matches_bit_loop_fold_on_all_five_vertex_graphs(self):
+        pairs = list(combinations(range(5), 2))
+        for k in range(1 << len(pairs)):
+            g = Graph(5, [e for t, e in enumerate(pairs) if k >> t & 1])
+            _assert_fold_matches_bit_loop(g, range(1 << 5))
+
+    def test_matches_bit_loop_fold_on_seeded_sample(self):
+        # At n = 1 the high half is empty; every odd n splits unequally.
+        rng = random.Random(149)
+        graphs = [Graph(1, []), Graph(2, []), Graph(2, [(0, 1)]), path_graph(3), cycle_graph(7)]
+        graphs += [random_graph(n, rng.uniform(0.1, 0.9), rng) for n in range(1, 13) for _ in range(3)]
+        for g in graphs:
+            _assert_fold_matches_bit_loop(g, range(1 << g.n))
+
+    def test_matches_bit_loop_fold_on_bracelets(self):
+        g = circulant(18, {1, 9})
+        _assert_fold_matches_bit_loop(g, [m for m, _ in _subset_orbit_reps(g)])
+
+    def test_half_tables_are_unions_and_intersections(self):
+        rng = random.Random(151)
+        for n in range(0, 12):
+            g = random_graph(n, rng.random(), rng)
+            adj, k, lo, union_lo, inter_lo, union_hi, inter_hi = _fold_tables(g.adj)
+            assert adj == g.adj and k == (n + 1) // 2 and lo == (1 << k) - 1
+            assert len(union_lo) == len(inter_lo) == 1 << k
+            assert len(union_hi) == len(inter_hi) == 1 << (n - k)
+            for offset, union, inter in ((0, union_lo, inter_lo), (k, union_hi, inter_hi)):
+                for s in range(len(union)):
+                    nbhds = [g.adj[offset + v] for v in bits(s)]
+                    want_union, want_inter = 0, g.full_mask
+                    for a in nbhds:
+                        want_union |= a
+                        want_inter &= a
+                    assert union[s] == want_union and inter[s] == want_inter, (n, offset, s)
 
 
 class TestDecision:

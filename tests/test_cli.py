@@ -126,6 +126,15 @@ class TestExitCodes:
         code, _, err = run(capsys, "reg", "circulant:12:1", "--limit-vertices", "10")
         assert code == 2 and "10" in err
 
+    def test_vertex_limit_names_the_cli_flag(self, capsys):
+        code, _, err = run(capsys, "reg", "circulant:22:1")
+        assert code == 2
+        assert "22 vertices" in err and "--limit-vertices" in err and "vertex_limit" not in err
+        code, out, _ = run(capsys, "reg", "circulant:22:1", "--json")
+        assert code == 2
+        error = json.loads(out)["error"]
+        assert "22 vertices" in error and "--limit-vertices" in error and "vertex_limit" not in error
+
     def test_json_error_payload(self, capsys):
         code, out, _ = run(capsys, "reg", "wheel:9", "--json")
         assert code == 2
