@@ -19,16 +19,14 @@ built once per sweep: the vertices split into a low and a high half, and
 for every subset of each half one table holds the union and one the
 intersection of its vertices' neighbourhoods, so any vertex set's union or
 intersection is one lookup per half (2^ceil(n/2) entries per table).
-When the vertex relabelling v -> v+1 (mod n) or v -> -v (mod n) is an
-automorphism, only one subset per orbit is computed and its contribution
-multiplied by the orbit size.  Under the rotation the orbits are binary
-bracelets, generated directly: the necklaces from the Fredricksen-Kessler-
+When the rotation v -> v+1 (mod n) is an automorphism, only one subset per
+orbit is computed and its contribution multiplied by the orbit size.  The
+orbits are binary necklaces, generated directly by the Fredricksen-Kessler-
 Maiorana algorithm (K. Cattell et al., "Fast algorithms to generate
 necklaces, unlabeled necklaces, and irreducible polynomials over GF(2)",
-J. Algorithms 2000) that no rotation of their reversal undercuts
-(J. Sawada, "Generating bracelets in constant amortized time", SIAM J.
-Comput. 2001); each necklace is reversed by two half-width bit-reversal
-tables.
+J. Algorithms 2000).  Mirror images are merged by the memo instead: each
+new core is also stored under its relabelled adjacency read in descending
+vertex order, the key of its mirror image.
 """
 
 from __future__ import annotations
@@ -174,67 +172,31 @@ def _rotation_is_automorphism(g: Graph) -> bool:
     )
 
 
-def _reflection_is_automorphism(g: Graph) -> bool:
-    n = g.n
-    return all(
-        g.adjacent((n - i) % n, (n - j) % n) for (i, j) in g.edges
-    )
-
-
 def _subset_orbit_reps(g: Graph) -> list[tuple[int, int]]:
     """Least member and size of each orbit of nonempty subsets under the
-    cyclic/reflective symmetries g actually has, ascending; every subset
-    with size 1 when there is no symmetry.
+    rotation v -> v+1 (mod n), ascending, when it is an automorphism of g;
+    every subset with size 1 otherwise.
 
-    If v -> v+1 is an automorphism then g is a circulant, so v -> -v is one
-    too (for n = 2 it is the identity): the orbits are then binary bracelets.
+    Under the rotation the orbits are the binary necklaces.  Mirror images
+    are not merged here: the memo in _core_homology gives a core and its
+    mirror image one homology computation.
     """
-    n = g.n
-    full = (1 << n) - 1
-    if n >= 2 and _rotation_is_automorphism(g):
-        return _bracelets(n)
-    if n >= 3 and _reflection_is_automorphism(g):
-        k, rev_lo, rev_hi = _reversal_tables(n)
-        lo = (1 << k) - 1
-        out = []
-        for m in range(1, full + 1):
-            r = rev_lo[m & lo] | rev_hi[m >> k]
-            r = ((r << 1) | (r >> (n - 1))) & full  # v -> n-1-v, then v -> v+1
-            if m <= r:
-                out.append((m, 1 if m == r else 2))
-        return out
-    return [(m, 1) for m in range(1, full + 1)]
+    if _rotation_is_automorphism(g):
+        return _necklaces(g.n)
+    return [(m, 1) for m in range(1, 1 << g.n)]
 
 
-def _reversal_tables(n: int) -> tuple[int, list[int], list[int]]:
-    """k = ceil(n/2) and two tables that reverse the n low bits of a mask m
-    as rev_lo[m & (2^k - 1)] | rev_hi[m >> k]: rev_lo reverses the low k bits
-    into the top k places, rev_hi the high n - k bits into the bottom ones."""
-    k = (n + 1) // 2
-    tables = []
-    for width, shift in ((k, n - k), (n - k, 0)):
-        rev = [0] * (1 << width)
-        for s in range(1, 1 << width):
-            rev[s] = rev[s >> 1] >> 1 | (s & 1) << (width - 1)
-        tables.append([r << shift for r in rev])
-    return k, tables[0], tables[1]
-
-
-def _bracelets(n: int) -> list[tuple[int, int]]:
-    """Least member and size of every dihedral orbit of nonzero n-bit masks.
+def _necklaces(n: int) -> list[tuple[int, int]]:
+    """Least member and size of every rotation orbit of nonzero n-bit masks.
 
     The masks are read most significant bit first, so lexicographic order is
     integer order.  The iterative Fredricksen-Kessler-Maiorana algorithm walks
     the prenecklaces in increasing order: the next one increments the last 0
     of the current one, at position p, and repeats the first p symbols.  It
     is a necklace, the least of its rotations with period p, when p divides
-    n.  A necklace is the least member of its dihedral orbit when none of the
-    p distinct rotations of its reversal is smaller; its orbit has p members
-    if one of them equals it and 2p otherwise.
+    n, and its orbit then has p members.
     """
     full = (1 << n) - 1
-    k, rev_lo, rev_hi = _reversal_tables(n)
-    lo = (1 << k) - 1
     # A p-bit block times repeat[p] is the block written ceil(n/p) times;
     # shifting right by cut[p] keeps its first n bits.
     repeat = [0] + [((1 << (p * -(-n // p))) - 1) // ((1 << p) - 1) for p in range(1, n + 1)]
@@ -245,18 +207,8 @@ def _bracelets(n: int) -> list[tuple[int, int]]:
         t = (m ^ (m + 1)).bit_length() - 1  # trailing 1s, after the last 0
         p = n - t
         m = ((m >> t) | 1) * repeat[p] >> cut[p]
-        if n % p:
-            continue
-        r = rev_lo[m & lo] | rev_hi[m >> k]
-        size = 2 * p
-        for _ in range(p):
-            if r < m:
-                break
-            if r == m:
-                size = p
-            r = ((r << 1) | (r >> (n - 1))) & full
-        else:
-            out.append((m, size))
+        if not n % p:
+            out.append((m, p))
     return out
 
 
@@ -346,13 +298,32 @@ def _contributions(adj: Sequence[int], field, items: Iterable[tuple[int, int]]):
             yield mask, (j - d - 2, j), count * dim
 
 
+def _relabelled(adj: Sequence[int], core: int, verts: list[int]) -> tuple[int, ...]:
+    """The graph induced on *core* with verts[k] relabelled k, as adjacency
+    masks in that order: the memo key of its homology."""
+    relabel = {1 << v: 1 << k for k, v in enumerate(verts)}
+    key = []
+    for v in verts:
+        nbrs = adj[v] & core
+        row = 0
+        while nbrs:
+            low = nbrs & -nbrs
+            row |= relabel[low]
+            nbrs ^= low
+        key.append(row)
+    return tuple(key)
+
+
 def _core_homology(adj: Sequence[int], core: int, field, memo: dict) -> dict[int, int]:
-    """Nonzero reduced homology of the independence complex induced on *core*."""
+    """Nonzero reduced homology of the independence complex induced on *core*.
+
+    The memo key reads the core in ascending vertex order.  A miss also
+    stores the dims under the key read in descending order.  That is the key
+    of the core's mirror image under v -> n-1-v, an automorphism of every
+    circulant, so a core and its mirror image share one homology computation.
+    """
     verts = list(bits(core))
-    pos = {v: k for k, v in enumerate(verts)}
-    key = tuple(
-        sum(1 << pos[u] for u in bits(adj[v] & core)) for v in verts
-    )
+    key = _relabelled(adj, core, verts)
     dims = memo.get(key)
     if dims is None:
         faces = [0]
@@ -367,7 +338,7 @@ def _core_homology(adj: Sequence[int], core: int, field, memo: dict) -> dict[int
         for f in faces:
             sizes[f.bit_count()].append(f)
         dims = {d: v for d, v in homology_dims_from_sizes(sizes, field).items() if v}
-        memo[key] = dims
+        memo[key] = memo[_relabelled(adj, core, verts[::-1])] = dims
     return dims
 
 

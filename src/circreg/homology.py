@@ -9,6 +9,8 @@ odd primes, and an integer-preserving elimination for the rationals.
 
 from __future__ import annotations
 
+from math import gcd
+
 from ._bitops import bits
 from .complexes import SimplicialComplex
 
@@ -129,7 +131,7 @@ def _rank_int(rows: list[list[int]]) -> int:
                 row = [x * pv - a * y for x, y in zip(rows[i], prow)]
                 g = 0
                 for x in row:
-                    g = _gcd(g, x)
+                    g = gcd(g, x)
                     if g == 1:
                         break
                 rows[i] = [x // g for x in row] if g > 1 else row
@@ -139,14 +141,21 @@ def _rank_int(rows: list[list[int]]) -> int:
     return rank
 
 
-def _gcd(a: int, b: int) -> int:
-    a, b = abs(a), abs(b)
-    while b:
-        a, b = b, a % b
-    return a
-
-
 # -- boundary construction ---------------------------------------------------
+
+
+def _signed_rows(smaller: list[int], larger: list[int]) -> list[list[int]]:
+    """Signed boundary matrix with a row per face in *smaller* and a column
+    per face in *larger*: dropping the t-th vertex of a face gives the entry
+    (-1)^t at the face that is left."""
+    index = {m: i for i, m in enumerate(smaller)}
+    rows = [[0] * len(larger) for _ in smaller]
+    for cj, face in enumerate(larger):
+        sign = 1
+        for v in bits(face):
+            rows[index[face ^ (1 << v)]][cj] = sign
+            sign = -sign
+    return rows
 
 
 def _boundary_rank(smaller: list[int], larger: list[int], field) -> int:
@@ -154,8 +163,8 @@ def _boundary_rank(smaller: list[int], larger: list[int], field) -> int:
     the size-(k-1) faces in *smaller*."""
     if not larger or not smaller:
         return 0
-    index = {m: i for i, m in enumerate(smaller)}
     if field == 2:
+        index = {m: i for i, m in enumerate(smaller)}
         cols = []
         for face in larger:
             col = 0
@@ -163,12 +172,7 @@ def _boundary_rank(smaller: list[int], larger: list[int], field) -> int:
                 col |= 1 << index[face ^ (1 << v)]
             cols.append(col)
         return _rank_gf2(cols)
-    rows = [[0] * len(larger) for _ in smaller]
-    for cj, face in enumerate(larger):
-        sign = 1
-        for v in bits(face):
-            rows[index[face ^ (1 << v)]][cj] = sign
-            sign = -sign
+    rows = _signed_rows(smaller, larger)
     if field == RATIONALS:
         return _rank_int(rows)
     return _rank_mod_p(rows, field)
@@ -238,12 +242,7 @@ def boundary_matrix(cx: SimplicialComplex, k: int, field="Q") -> tuple[list[int]
     if k < 1 or k > len(sizes) - 1:
         return [], [], []
     smaller, larger = sizes[k - 1], sizes[k]
-    index = {m: i for i, m in enumerate(smaller)}
-    rows = [[0] * len(larger) for _ in smaller]
-    for cj, face in enumerate(larger):
-        sign = 1
-        for v in bits(face):
-            entry = sign if field == RATIONALS else sign % field
-            rows[index[face ^ (1 << v)]][cj] = entry
-            sign = -sign
+    rows = _signed_rows(smaller, larger)
+    if field != RATIONALS:
+        rows = [[x % field for x in row] for row in rows]
     return smaller, larger, rows

@@ -138,7 +138,7 @@ def verify_theorem1(nmax: int = 12, field=2) -> dict:
                     "expected": expected,
                     "oracle": oracle,
                     "chi": chi,
-                    "pass": expected == oracle,
+                    "pass": expected == oracle and chi["agree"],
                     "wall_ms": round((time.perf_counter() - t0) * 1000, 3),
                 }
             )
@@ -207,7 +207,7 @@ def verify_theorem2(nmax: int = 7, field=2) -> dict:
                     "via_components": via_components,
                     "decomposition": {"copies": copies, "m": m, "step": step},
                     "chi": chi,
-                    "pass": expected == direct == via_components,
+                    "pass": expected == direct == via_components and chi["agree"],
                     "wall_ms": round((time.perf_counter() - t0) * 1000, 3),
                 }
             )
@@ -257,19 +257,20 @@ def verify_lemmas(tmax: int = 5, nmax: int = 7, field=2) -> dict:
             g = makers[kind](t)
             table = cache.table(g)
             reg, pd = table.regularity, table.projective_dimension
+            chi = chi_report(g, (field,))
             record = {
                 "inputs": {"family": kind, "t": t, "check": "bounds"},
                 "oracle": {"reg": reg, "pd": pd},
-                "chi": chi_report(g, (field,)),
+                "chi": chi,
             }
             if kind == "D" and t % 4 != 3:
                 record.update(expected=None, bound_applies=False)
-                record["pass"] = True
+                record["pass"] = chi["agree"]
             else:
                 reg_b, pd_b = bound_family(kind, t)
                 ok = reg <= reg_b and (pd_b is None or pd <= pd_b)
                 record.update(expected={"reg_bound": reg_b, "pd_bound": pd_b})
-                record["pass"] = ok
+                record["pass"] = ok and chi["agree"]
             record["wall_ms"] = round((time.perf_counter() - t0) * 1000, 3)
             instances.append(record)
 
@@ -281,13 +282,14 @@ def verify_lemmas(tmax: int = 5, nmax: int = 7, field=2) -> dict:
             table = cache.table(g)
             reg_b, pd_b = bound_cubic(kind, n)
             reg, pd = table.regularity, table.projective_dimension
+            chi = chi_report(g, (field,))
             instances.append(
                 {
                     "inputs": {"kind": kind, "n": n, "check": "bounds"},
                     "expected": {"reg_bound": reg_b, "pd_bound": pd_b},
                     "oracle": {"reg": reg, "pd": pd},
-                    "chi": chi_report(g, (field,)),
-                    "pass": reg <= reg_b and pd <= pd_b,
+                    "chi": chi,
+                    "pass": reg <= reg_b and pd <= pd_b and chi["agree"],
                     "wall_ms": round((time.perf_counter() - t0) * 1000, 3),
                 }
             )

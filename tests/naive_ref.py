@@ -4,9 +4,9 @@ Everything here works by direct enumeration and textbook row reduction
 (Fractions over the rationals, modular arithmetic otherwise) with none of
 the pruning, symmetry, bit-packing or memoization the library uses, so the
 two routes to each number share no code beyond the definitions.  The last
-section is the exception: it keeps the per-bit loops that two of the
-sweep's kernels used before they became table lookups, as the references
-the table-driven versions must match exactly.
+section is the exception: it keeps the per-bit loop that the sweep's fold
+used before it became table lookups, as the reference the table-driven
+version must match exactly.
 """
 
 from __future__ import annotations
@@ -121,34 +121,24 @@ def betti_entries(g: Graph, field=2) -> dict[tuple[int, int], int]:
 
 def orbit_reps(g: Graph) -> list[tuple[int, int]]:
     """Least mask and size of each orbit of nonempty vertex subsets under the
-    maps v -> v+1 and v -> -v (mod n) that are automorphisms of g, found by
-    closing every mask under those maps one image at a time; ascending."""
+    rotation v -> v+1 (mod n) when it is an automorphism of g, found by
+    rotating every mask until it comes back; every mask with size 1
+    otherwise.  Ascending."""
     n = g.n
-
-    def rotate(v: int) -> int:
-        return (v + 1) % n
-
-    def reflect(v: int) -> int:
-        return (n - v) % n
-
-    maps = [
-        f for f in (rotate, reflect)
-        if {tuple(sorted((f(i), f(j)))) for (i, j) in g.edges} == set(g.edges)
-    ]
+    if {tuple(sorted(((i + 1) % n, (j + 1) % n))) for (i, j) in g.edges} != set(g.edges):
+        return [(m, 1) for m in range(1, 1 << n)]
     seen: set[int] = set()
     out = []
     for m in range(1, 1 << n):
         if m in seen:
             continue
         orbit = {m}
-        frontier = [m]
-        while frontier:
-            x = frontier.pop()
-            for f in maps:
-                y = sum(1 << f(v) for v in range(n) if x >> v & 1)
-                if y not in orbit:
-                    orbit.add(y)
-                    frontier.append(y)
+        x = m
+        while True:
+            x = sum(1 << ((v + 1) % n) for v in range(n) if x >> v & 1)
+            if x == m:
+                break
+            orbit.add(x)
         seen |= orbit
         out.append((min(orbit), len(orbit)))
     return out
@@ -177,7 +167,7 @@ def is_chordal(g: Graph) -> bool:
     return True
 
 
-# -- per-bit versions of the sweep's kernels -----------------------------------
+# -- per-bit version of the sweep's fold ---------------------------------------
 
 
 def fold(adj, mask: int) -> int:
@@ -204,49 +194,3 @@ def fold(adj, mask: int) -> int:
                 touched |= adj[v]
             todo = (todo | touched) & mask
     return mask
-
-
-def reverse(m: int, n: int) -> int:
-    """*m* with its n low bits in reverse order, by string reversal."""
-    return int(f"{m:0{n}b}"[::-1], 2)
-
-
-def bracelets(n: int) -> list[tuple[int, int]]:
-    """Least member and size of every dihedral orbit of nonzero n-bit masks,
-    by the Fredricksen-Kessler-Maiorana walk of circreg.betti._bracelets with
-    each necklace reversed by string reversal."""
-    full = (1 << n) - 1
-    repeat = [0] + [((1 << (p * -(-n // p))) - 1) // ((1 << p) - 1) for p in range(1, n + 1)]
-    cut = [0] + [p * -(-n // p) - n for p in range(1, n + 1)]
-    out = []
-    m = 0
-    while m != full:
-        t = (m ^ (m + 1)).bit_length() - 1
-        p = n - t
-        m = ((m >> t) | 1) * repeat[p] >> cut[p]
-        if n % p:
-            continue
-        r = reverse(m, n)
-        size = 2 * p
-        for _ in range(p):
-            if r < m:
-                break
-            if r == m:
-                size = p
-            r = ((r << 1) | (r >> (n - 1))) & full
-        else:
-            out.append((m, size))
-    return out
-
-
-def reflection_orbit_reps(n: int) -> list[tuple[int, int]]:
-    """Least member and size of each orbit of nonzero n-bit masks under
-    v -> -v (mod n) alone, by string reversal, ascending."""
-    full = (1 << n) - 1
-    out = []
-    for m in range(1, full + 1):
-        r = reverse(m, n)
-        r = ((r << 1) | (r >> (n - 1))) & full
-        if m <= r:
-            out.append((m, 1 if m == r else 2))
-    return out

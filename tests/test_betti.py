@@ -8,16 +8,15 @@ from itertools import combinations
 import pytest
 
 import naive_ref
+import circreg.betti as betti_mod
 from circreg._bitops import bits
 from circreg.betti import (
     BettiTable,
     VertexLimitError,
     ZeroIdealError,
-    _bracelets,
+    _core_homology,
     _fold,
     _fold_tables,
-    _reflection_is_automorphism,
-    _reversal_tables,
     _rotation_is_automorphism,
     _subset_orbit_reps,
     _sweep_chunk,
@@ -299,67 +298,58 @@ def _assert_induced_tables_match(g, field, swept):
 
 class TestOrbitReps:
     def test_matches_brute_force_orbits(self):
+        # Reflection-only and asymmetric graphs get every subset as a singleton.
         rng = random.Random(131)
         graphs = _all_circulants(10)
         graphs += [circulant(11, {1, 3}), circulant(12, {1, 6}), circulant(13, {2, 5}), circulant(14, {1, 4, 7})]
-        graphs.append(Graph(2, [(0, 1)]))  # K2: the reflection is the identity
+        graphs.append(Graph(2, [(0, 1)]))  # K2: the rotation is the swap
         for n in range(3, 13):
             pairs = [e for e in combinations(range(n), 2) if rng.random() < 0.3]
             g = Graph(n, _closed(n, pairs, lambda v: (n - v) % n))
             if g.edges and not _rotation_is_automorphism(g):
-                assert _reflection_is_automorphism(g)
                 graphs.append(g)
         asymmetric = Graph(8, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7), (0, 2)])
         assert not _rotation_is_automorphism(asymmetric)
-        assert not _reflection_is_automorphism(asymmetric)
         graphs.append(asymmetric)
         assert sum(1 for g in graphs if g.n >= 3 and not _rotation_is_automorphism(g)) >= 6
         for g in graphs:
-            assert _subset_orbit_reps(g) == naive_ref.orbit_reps(g), (g.n, sorted(g.edges))
+            reps = _subset_orbit_reps(g)
+            assert reps == naive_ref.orbit_reps(g), (g.n, sorted(g.edges))
+            if not _rotation_is_automorphism(g):
+                assert reps == [(m, 1) for m in range(1, 1 << g.n)], (g.n, sorted(g.edges))
 
-    def test_cycle_orbits_are_the_binary_bracelets(self):
-        # OEIS A000029(n), the number of binary bracelets of length n, counts
+    def test_cycle_orbits_are_the_binary_necklaces(self):
+        # OEIS A000031(n), the number of binary necklaces of length n, counts
         # the empty subset too.
-        bracelets = {
-            3: 4, 4: 6, 5: 8, 6: 13, 7: 18, 8: 30, 9: 46, 10: 78, 11: 126, 12: 224,
-            13: 380, 14: 687, 15: 1224, 16: 2250, 17: 4112, 18: 7685, 19: 14310, 20: 27012,
+        necklaces = {
+            3: 4, 4: 6, 5: 8, 6: 14, 7: 20, 8: 36, 9: 60, 10: 108, 11: 188, 12: 352,
+            13: 632, 14: 1182, 15: 2192, 16: 4116, 17: 7712, 18: 14602, 19: 27596, 20: 52488,
         }
-        for n, count in bracelets.items():
+        for n, count in necklaces.items():
             reps = _subset_orbit_reps(circulant(n, {1}))
             assert len(reps) == count - 1, n
             assert sum(size for _, size in reps) == 2**n - 1, n
 
-    def test_reversal_tables_match_string_reversal(self):
-        for n in range(1, 15):
-            k, rev_lo, rev_hi = _reversal_tables(n)
-            for m in range(1 << n):
-                assert rev_lo[m & (1 << k) - 1] | rev_hi[m >> k] == naive_ref.reverse(m, n), (n, m)
-
-    def test_bracelets_match_string_reversal_version(self):
-        for n in range(2, 21):
-            assert _bracelets(n) == naive_ref.bracelets(n), n
-
-    def test_reflection_only_branch_matches_string_reversal_version(self):
-        rng = random.Random(139)
-        checked = 0
-        for n in range(3, 15):
-            pairs = [e for e in combinations(range(n), 2) if rng.random() < 0.3]
-            g = Graph(n, _closed(n, pairs, lambda v: (n - v) % n))
-            if _rotation_is_automorphism(g):
-                continue
-            assert _reflection_is_automorphism(g)
-            assert _subset_orbit_reps(g) == naive_ref.reflection_orbit_reps(n), (n, sorted(g.edges))
-            checked += 1
-        assert checked >= 8
-
-    def test_rotation_implies_reflection(self):
-        rng = random.Random(137)
-        for _ in range(40):
-            n = rng.randint(2, 12)
-            pairs = [e for e in combinations(range(n), 2) if rng.random() < 0.2]
-            g = Graph(n, _closed(n, pairs, lambda v: (v + 1) % n))
-            assert _rotation_is_automorphism(g)
-            assert _reflection_is_automorphism(g), (n, sorted(g.edges))
+    @pytest.mark.parametrize("field", [2, "Q"])
+    def test_mirror_images_share_one_homology_call(self, field, monkeypatch):
+        # {0, 1, 2, 4} induces a triangle with a pendant edge at its last
+        # vertex; its image {2, 4, 5, 6} under v -> 6-v has it at its first.
+        g = circulant(7, {1, 2})
+        core, mirror = 0b0010111, 0b1110100
+        assert mirror == sum(1 << (6 - v) for v in bits(core))
+        assert g.induced(bits(core))[0].edges != g.induced(bits(mirror))[0].edges
+        calls = []
+        real = betti_mod.homology_dims_from_sizes
+        monkeypatch.setattr(
+            betti_mod, "homology_dims_from_sizes", lambda *a: calls.append(a) or real(*a)
+        )
+        memo: dict = {}
+        dims = _core_homology(g.adj, core, field, memo)
+        assert _core_homology(g.adj, mirror, field, memo) == dims
+        assert len(calls) == 1
+        sub = g.induced(bits(mirror))[0]
+        expected = reduced_homology_dims(independence_complex(sub), field)
+        assert dims == {d: v for d, v in expected.items() if v}
 
 
 class TestCrossField:

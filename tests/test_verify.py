@@ -1,11 +1,15 @@
 """The properties suite reads its tables off one sweep per graph; every
 seeded table must equal a separate sweep of its induced graph, and the
-default report must not change."""
+default report must not change.  An instance whose Euler-characteristic
+routes disagree fails."""
 
 import hashlib
 import json
 
+import pytest
+
 import circreg.verify as verify
+from circreg.cli import main
 from circreg.betti import hochster_betti_table, property_vertex_sets
 
 # sha256 of the default properties report (count 200, nmax 9, seed 1729,
@@ -42,3 +46,23 @@ def test_properties_seeded_tables_equal_separate_sweeps(monkeypatch):
         rec.pop("wall_ms")
     digest = hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest()
     assert digest == DEFAULT_PROPERTIES_SHA256
+
+
+@pytest.mark.parametrize(
+    "suite, kwargs",
+    [("theorem1", {"nmax": 5}), ("theorem2", {"nmax": 4}), ("lemmas", {"tmax": 3, "nmax": 5})],
+)
+def test_euler_route_disagreement_fails_the_instance(monkeypatch, capsys, suite, kwargs):
+    chi_report = verify.chi_report
+
+    def disagreeing(g, fields=(2,)):
+        return {**chi_report(g, fields), "agree": False}
+
+    monkeypatch.setattr(verify, "chi_report", disagreeing)
+    report = verify.run_suite(suite, **kwargs)
+    with_chi = [r for r in report["instances"] if "chi" in r]
+    assert with_chi and not any(r["pass"] for r in with_chi)
+    assert not report["ok"]
+    if suite == "theorem1":
+        assert main(["verify", "theorem1", "--nmax", "5"]) == 1
+        assert "FAIL" in capsys.readouterr().out
