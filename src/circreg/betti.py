@@ -69,19 +69,24 @@ class VertexLimitError(ValueError):
 class BettiTable:
     """Map (i, j) -> graded Betti number of an edge ideal over one field."""
 
-    __slots__ = ("n", "field", "entries", "zero_ideal")
+    __slots__ = ("n", "field", "entries")
 
-    def __init__(self, n: int, field, entries: dict, zero_ideal: bool = False):
+    def __init__(self, n: int, field, entries: dict):
         self.n = n
         self.field = normalize_field(field)
         self.entries = {k: v for k, v in entries.items() if v}
-        self.zero_ideal = zero_ideal
+
+    @property
+    def zero_ideal(self) -> bool:
+        """True for the ideal of an edgeless graph: each edge gives beta(0,2)
+        a 1, so no entries means no edges."""
+        return not self.entries
 
     def beta(self, i: int, j: int) -> int:
         return self.entries.get((i, j), 0)
 
     def _require_nonzero(self) -> None:
-        if self.zero_ideal or not self.entries:
+        if self.zero_ideal:
             raise ZeroIdealError("the zero ideal has no regularity or projective dimension")
 
     @property
@@ -111,7 +116,6 @@ class BettiTable:
             and self.n == other.n
             and self.field == other.field
             and self.entries == other.entries
-            and self.zero_ideal == other.zero_ideal
         )
 
     def __repr__(self) -> str:
@@ -134,7 +138,7 @@ class BettiTable:
     @classmethod
     def from_json_dict(cls, d: dict) -> "BettiTable":
         entries = {(i, j): b for i, j, b in d["entries"]}
-        return cls(d["n"], d["field"], entries, zero_ideal=bool(d.get("zero_ideal")))
+        return cls(d["n"], d["field"], entries)
 
     def to_csv(self, nonzero_only: bool = False) -> str:
         if nonzero_only or self.zero_ideal:
@@ -357,7 +361,7 @@ def hochster_betti_table(
     field = normalize_field(field)
     _check_vertex_limit(g, vertex_limit, "vertex_limit")
     if not g.edges:
-        return BettiTable(g.n, field, {}, zero_ideal=True)
+        return BettiTable(g.n, field, {})
     entries = _sweep_chunk(g.adj, field, _subset_orbit_reps(g))
     return BettiTable(g.n, field, entries)
 
@@ -393,11 +397,7 @@ def induced_betti_tables(
         for w, entries in tables:
             if not mask & ~w:
                 entries[cell] = entries.get(cell, 0) + value
-    # Each edge inside W gives beta(0,2) a 1, so no entries means no edges.
-    return [
-        BettiTable(w.bit_count(), field, entries, zero_ideal=not entries)
-        for w, entries in tables
-    ]
+    return [BettiTable(w.bit_count(), field, entries) for w, entries in tables]
 
 
 def _check_vertex_limit(g: Graph, vertex_limit: int, override: str = "") -> None:
@@ -446,10 +446,6 @@ class RegDecision:
     @property
     def is_regularity(self) -> bool:
         return self.outcome == OUTCOME_REGULARITY
-
-    @property
-    def is_pd(self) -> bool:
-        return self.outcome == OUTCOME_PD
 
     def to_json_dict(self) -> dict:
         return {
@@ -552,7 +548,6 @@ def property_vertex_sets(
 
 def property_suite(
     g: Graph,
-    table: Optional[BettiTable],
     oracle: Callable[[Graph], BettiTable],
     cover_witness: Optional[Sequence[Graph]] = None,
     edge_partition: Optional[tuple[Graph, Graph]] = None,
@@ -563,8 +558,7 @@ def property_suite(
     every check that applies is evaluated exactly and failures are reported,
     not raised.
     """
-    if table is None:
-        table = oracle(g)
+    table = oracle(g)
     checks: list[PropertyCheck] = []
     has_edges = bool(g.edges)
     reg = table.regularity if has_edges else None

@@ -15,9 +15,10 @@ import json
 import os
 import sys
 import tempfile
+from math import comb
 
 from .betti import BettiTable, DEFAULT_VERTEX_LIMIT, _check_vertex_limit, hochster_betti_table
-from .complexes import independence_polynomial
+from .complexes import independence_polynomial, independent_set_counts
 from .formulas import (
     CubicParams,
     bound_cubic,
@@ -90,21 +91,38 @@ def _graph_cache_key(g: Graph, field) -> str:
     return hashlib.sha256(payload.encode()).hexdigest()
 
 
+def _k_polynomial_holds(g: Graph, table: BettiTable) -> bool:
+    """The table's K-polynomial 1 - sum (-1)^i beta_ij t^j equals
+    sum_F t^|F| (1-t)^(n-|F|) over the independent sets F of g."""
+    n = g.n
+    lhs = [1] + [0] * n
+    for (i, j), b in table.entries.items():
+        if not 0 <= j <= n:
+            return False
+        lhs[j] -= b if i % 2 == 0 else -b
+    rhs = [0] * (n + 1)
+    for size, f in enumerate(independent_set_counts(g)):
+        for k in range(n - size + 1):
+            rhs[size + k] += f * comb(n - size, k) * (-1) ** k
+    return lhs == rhs
+
+
 def _read_cached(path: str, g: Graph, field) -> BettiTable | None:
     """The table stored at *path*, or None when it is missing, unreadable or
     inconsistent with the graph and field it is filed under."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             table = BettiTable.from_json_dict(json.load(fh))
+        if (
+            table.n != g.n
+            or table.field != field
+            or table.zero_ideal != (g.edge_count == 0)
+            or table.beta(0, 2) != g.edge_count
+            or not _k_polynomial_holds(g, table)
+        ):
+            return None
     except (FileNotFoundError, ValueError, KeyError, TypeError):
         return None  # missing, truncated or hand-edited: recompute it
-    if (
-        table.n != g.n
-        or table.field != field
-        or table.zero_ideal != (g.edge_count == 0)
-        or table.beta(0, 2) != g.edge_count
-    ):
-        return None
     return table
 
 

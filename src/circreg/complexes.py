@@ -165,16 +165,14 @@ class SimplicialComplex:
         m = face if isinstance(face, int) else mask_of(face)
         return any(m & ~f == 0 for f in self.facets)
 
-    def vertices_present(self) -> int:
-        m = 0
-        for f in self.facets:
-            m |= f
-        return m
+    def faces_by_size(self) -> list[list[int]]:
+        """All faces as masks, grouped by cardinality (index 0 = empty face).
 
-    def faces_by_size(self, limit: int = MAX_MATERIALIZED_FACES) -> list[list[int]]:
-        """All faces as masks, grouped by cardinality (index 0 = empty face)."""
+        Refuses a complex with more than MAX_MATERIALIZED_FACES faces.
+        """
         if self.is_void:
             return []
+        limit = MAX_MATERIALIZED_FACES
         seen = set()
         stack = list(self.facets)
         while stack:
@@ -195,10 +193,6 @@ class SimplicialComplex:
         for bucket in out:
             bucket.sort()
         return out
-
-    @property
-    def face_count(self) -> int:
-        return sum(len(b) for b in self.faces_by_size())
 
     def f_vector(self) -> tuple[int, ...]:
         """(f_-1, f_0, ..., f_D); undefined (raises) for the void complex."""

@@ -178,51 +178,34 @@ def _boundary_rank(smaller: list[int], larger: list[int], field) -> int:
     return _rank_mod_p(rows, field)
 
 
-def homology_dims_from_sizes(sizes: list[list[int]], field, degree: int | None = None) -> dict[int, int]:
+def homology_dims_from_sizes(sizes: list[list[int]], field) -> dict[int, int]:
     """Reduced homology dimensions given faces grouped by cardinality.
 
-    Returns {degree: dim} for degrees -1..dim; with a *degree* hint only the
-    two adjoining boundary ranks are computed.
+    Returns {degree: dim} for degrees -1..dim.
     """
     field = normalize_field(field)
     top = len(sizes) - 1
-    wanted = range(-1, top) if degree is None else [degree]
-    ranks: dict[int, int] = {}
-
-    def rank_at(k: int) -> int:
-        # boundary from size-k faces to size-(k-1) faces
-        if k < 1 or k > top:
-            return 0
-        if k in ranks:
-            return ranks[k]
-        if k == 1:
-            r = 1 if sizes[1] else 0  # all-ones row onto the empty face
-        else:
-            r = _boundary_rank(sizes[k - 1], sizes[k], field)
-        ranks[k] = r
-        return r
-
-    dims: dict[int, int] = {}
-    for d in wanted:
-        if d < -1 or d >= top:
-            dims[d] = 0
-            continue
-        dims[d] = len(sizes[d + 1]) - rank_at(d + 1) - rank_at(d + 2)
-    return dims
+    # ranks[k]: rank of the boundary from size-k faces to size-(k-1) faces,
+    # zero for k = 0 and k = top + 1; k = 1 is the all-ones row onto the
+    # empty face.
+    ranks = [0, 1 if top >= 1 and sizes[1] else 0]
+    ranks += [_boundary_rank(sizes[k - 1], sizes[k], field) for k in range(2, top + 1)]
+    ranks.append(0)
+    return {d: len(sizes[d + 1]) - ranks[d + 1] - ranks[d + 2] for d in range(-1, top)}
 
 
 # -- public operations --------------------------------------------------------
 
 
-def reduced_homology_dims(cx: SimplicialComplex, field=2, degree: int | None = None) -> dict[int, int]:
+def reduced_homology_dims(cx: SimplicialComplex, field=2) -> dict[int, int]:
     """dim of each reduced homology group of the complex over the field.
 
-    Keys run from -1 up to the complex dimension (or just the requested
-    degree).  The void complex has no homology and is rejected.
+    Keys run from -1 up to the complex dimension.  The void complex has no
+    homology and is rejected.
     """
     if cx.is_void:
         raise ValueError("the void complex has no reduced homology")
-    return homology_dims_from_sizes(cx.faces_by_size(), field, degree)
+    return homology_dims_from_sizes(cx.faces_by_size(), field)
 
 
 def euler_from_homology(cx: SimplicialComplex, field=2) -> int:

@@ -85,9 +85,6 @@ class _TableCache:
             self._store[key] = t
         return t
 
-    def reg(self, g: Graph) -> int:
-        return self.table(g).regularity
-
     def sweep_induced(self, g: Graph, vertex_sets: list) -> None:
         """Store the tables of g and of each g[W] from one sweep of g."""
         sets = [range(g.n), *vertex_sets]
@@ -130,7 +127,7 @@ def verify_theorem1(nmax: int = 12, field=2) -> dict:
             dists = set(range(1, n // 2 + 1)) - {j}
             g = circulant(n, dists)
             expected = reg_hat_j(n, j)
-            oracle = cache.reg(g)
+            oracle = cache.table(g).regularity
             chi = chi_report(g, (field,))
             instances.append(
                 {
@@ -160,7 +157,7 @@ def _decision_record(kind: str, n: int, cache: _TableCache) -> dict:
         raise AssertionError("pd bound does not have a decidable shape")
     chi = euler_via_independence(g)
     decision = decide_regularity(nvars, reg_bound, bound_kind, chi)
-    brute = cache.reg(g)
+    brute = cache.table(g).regularity
     if bound_kind == PD_BOUND_TIGHT:
         sign_ok = chi != 0
     else:
@@ -194,10 +191,10 @@ def verify_theorem2(nmax: int = 7, field=2) -> dict:
             t0 = time.perf_counter()
             g = circulant(2 * n, {a, n})
             expected = reg_cubic(CubicParams(n, a))
-            direct = cache.reg(g)
+            direct = cache.table(g).regularity
             copies, m, step = davis_domke(n, a)
             base = circulant(2 * m, {step, m})
-            via_components = copies * (cache.reg(base) - 1) + 1
+            via_components = copies * (cache.table(base).regularity - 1) + 1
             chi = chi_report(g, (field,))
             instances.append(
                 {
@@ -371,7 +368,7 @@ def verify_properties(
             partition = (Graph(g.n, left), Graph(g.n, right))
         comp_sets, deletion_sets = property_vertex_sets(g)
         cache.sweep_induced(g, [*comp_sets, *(vs for pair in deletion_sets for vs in pair)])
-        report = property_suite(g, None, cache.table, edge_partition=partition)
+        report = property_suite(g, cache.table, edge_partition=partition)
         instances.append(
             {
                 "inputs": {"index": idx, "n": g.n, "edges": len(g.edges)},

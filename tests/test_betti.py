@@ -479,12 +479,12 @@ class TestDecision:
 class TestPropertySuite:
     def test_two_disjoint_edges_additivity(self):
         g = Graph(4, [(0, 1), (2, 3)])
-        report = property_suite(g, None, oracle2)
+        report = property_suite(g, oracle2)
         check = {c.name: c for c in report.checks}["disjoint_union_additivity"]
         assert check.applicable and check.passed
 
     def test_c4_froberg(self):
-        report = property_suite(cycle_graph(4), None, oracle2)
+        report = property_suite(cycle_graph(4), oracle2)
         check = {c.name: c for c in report.checks}["reg2_iff_complement_chordal"]
         assert check.applicable and check.passed
 
@@ -495,7 +495,7 @@ class TestPropertySuite:
         a = oracle2(g.without_closed_neighborhood(0)).regularity + 1
         b = oracle2(g.without_vertex(0)).regularity
         assert t.regularity in (a, b)
-        report = property_suite(g, t, oracle2)
+        report = property_suite(g, oracle2)
         check = {c.name: c for c in report.checks}["vertex_deletion_membership"]
         assert check.applicable and check.passed
 
@@ -520,14 +520,14 @@ class TestPropertySuite:
         def by_size(h):
             return BettiTable(h.n, 2, {(0, h.n): 1})
 
-        report = property_suite(path_graph(3), None, by_size)
+        report = property_suite(path_graph(3), by_size)
         check = {c.name: c for c in report.checks}["vertex_deletion_membership"]
         assert not check.passed
         assert check.detail == "reg=3, violations=[(0, 2, 2), (1, 2, 1), (2, 2, 2)]"
 
     def test_cover_witness_bound(self):
         g = circulant(8, {1, 3, 4})
-        report = property_suite(g, None, oracle2, cover_witness=list(cochordal_split_c4j(2)))
+        report = property_suite(g, oracle2, cover_witness=list(cochordal_split_c4j(2)))
         check = {c.name: c for c in report.checks}["cochordal_cover_bound"]
         assert check.applicable and check.passed
 
@@ -535,7 +535,7 @@ class TestPropertySuite:
         g = cycle_graph(6)
         edges = sorted(g.edges)
         part = (Graph(6, edges[:3]), Graph(6, edges[3:]))
-        report = property_suite(g, None, oracle2, edge_partition=part)
+        report = property_suite(g, oracle2, edge_partition=part)
         check = {c.name: c for c in report.checks}["edge_split_subadditivity"]
         assert check.applicable and check.passed
 
@@ -545,6 +545,6 @@ class TestPropertySuite:
             t = hochster_betti_table(g, 2)
             return BettiTable(t.n, 2, {(0, 5): 1})
 
-        report = property_suite(cycle_graph(4), bad_oracle(cycle_graph(4)), bad_oracle)
+        report = property_suite(cycle_graph(4), bad_oracle)
         assert not report.all_passed
         assert report.failures()

@@ -230,6 +230,59 @@ class TestCacheAndDeterminism:
         assert code == 0 and warm == cold
         assert json.loads(cold)["reg"] == 3
 
+    def _tamper(self, capsys, monkeypatch, tmp_path, command, spec, edit):
+        """The output of *command* on a cold cache, and after *edit* has
+        rewritten the stored table's JSON dict in place.  The untouched
+        entry must be served without a sweep."""
+        cache = str(tmp_path / "cache")
+        _, cold, _ = run(capsys, command, spec, "--json", "--cache", cache)
+        def no_sweep(*args, **kwargs):
+            raise AssertionError("swept a graph whose table is cached")
+
+        with monkeypatch.context() as m:
+            m.setattr(cli, "hochster_betti_table", no_sweep)
+            assert run(capsys, command, spec, "--json", "--cache", cache) == (0, cold, "")
+        (entry,) = (tmp_path / "cache").iterdir()
+        data = json.loads(entry.read_text())
+        edit(data)
+        entry.write_text(json.dumps(data))
+        code, warm, _ = run(capsys, command, spec, "--json", "--cache", cache)
+        assert code == 0
+        return cold, warm
+
+    def test_planted_entry_of_an_edgeless_graph_is_recomputed(self, capsys, monkeypatch, tmp_path):
+        spec = tmp_path / "e3.json"
+        spec.write_text(json.dumps({"n": 3, "edges": []}))
+        cold, warm = self._tamper(
+            capsys, monkeypatch, tmp_path, "betti", str(spec), lambda d: d["entries"].append([1, 3, 7])
+        )
+        assert warm == cold
+        assert json.loads(cold)["entries"] == []
+
+    def test_added_cell_beyond_n_is_recomputed(self, capsys, monkeypatch, tmp_path):
+        cold, warm = self._tamper(
+            capsys, monkeypatch, tmp_path, "reg", "circulant:8:1,4", lambda d: d["entries"].append([6, 9, 1])
+        )
+        assert warm == cold
+        assert json.loads(cold)["pd"] == 5
+
+    def test_changed_betti_number_is_recomputed(self, capsys, monkeypatch, tmp_path):
+        def bump(d):
+            cell = d["entries"].index([1, 3, 24])
+            d["entries"][cell] = [1, 3, 25]
+
+        cold, warm = self._tamper(capsys, monkeypatch, tmp_path, "betti", "circulant:8:1,4", bump)
+        assert warm == cold
+        assert [1, 3, 24] in json.loads(cold)["entries"]
+
+    def test_non_integer_betti_number_is_recomputed(self, capsys, monkeypatch, tmp_path):
+        def stringify(d):
+            cell = d["entries"].index([1, 3, 24])
+            d["entries"][cell] = [1, 3, "24"]
+
+        cold, warm = self._tamper(capsys, monkeypatch, tmp_path, "betti", "circulant:8:1,4", stringify)
+        assert warm == cold
+
     def test_cache_path_that_is_a_file_exits_2(self, capsys, tmp_path):
         not_a_dir = tmp_path / "cache"
         not_a_dir.write_text("")

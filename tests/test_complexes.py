@@ -6,6 +6,7 @@ from itertools import combinations
 
 import pytest
 
+import circreg.complexes
 import naive_ref
 from circreg.complexes import (
     IntPoly,
@@ -79,6 +80,14 @@ class TestComplexBasics:
     def test_simplex_f_vector(self):
         cx = SimplicialComplex.from_facets(3, [[0, 1, 2]])
         assert cx.f_vector() == (1, 3, 3, 1)
+
+    def test_faces_by_size_refuses_more_than_the_bound(self, monkeypatch):
+        cx = SimplicialComplex.from_facets(3, [[0, 1, 2]])  # 8 faces
+        monkeypatch.setattr(circreg.complexes, "MAX_MATERIALIZED_FACES", 8)
+        assert [len(b) for b in cx.faces_by_size()] == [1, 3, 3, 1]
+        monkeypatch.setattr(circreg.complexes, "MAX_MATERIALIZED_FACES", 7)
+        with pytest.raises(ValueError, match="more than 7 faces"):
+            cx.faces_by_size()
 
     def test_json_round_trip(self):
         cx = independence_complex(circulant(8, {1, 4}))

@@ -59,11 +59,6 @@ class TestKnownComplexes:
         for f in FIELDS:
             assert reduced_homology_dims(cx, f)[1] == 1
 
-    def test_degree_hint(self):
-        cx = independence_complex(cycle_graph(5))
-        assert reduced_homology_dims(cx, 2, degree=1) == {1: 1}
-        assert reduced_homology_dims(cx, 2, degree=0) == {0: 0}
-
 
 class TestCones:
     def test_cone_homology_vanishes(self):

@@ -1,7 +1,7 @@
 """The properties suite reads its tables off one sweep per graph; every
 seeded table must equal a separate sweep of its induced graph, and the
-default report must not change.  An instance whose Euler-characteristic
-routes disagree fails."""
+default properties, theorem1, theorem2 and lemmas reports must not change.
+An instance whose Euler-characteristic routes disagree fails."""
 
 import hashlib
 import json
@@ -16,6 +16,17 @@ from circreg.betti import hochster_betti_table, property_vertex_sets
 # GF(2)) with the wall_ms fields removed, as the suite produced it when it
 # swept every induced subgraph separately.
 DEFAULT_PROPERTIES_SHA256 = "97f1efc30fbc5d4f543fef5e3747999759f9e36517f1c635e17f7e879b5915df"
+
+# sha256 of the default theorem1, theorem2 and lemmas reports over GF(2) and
+# over Q, with the wall_ms fields removed.
+DEFAULT_REPORT_SHA256 = {
+    ("theorem1", 2): "c46ae663c7f14963842e125731c67e67a1c5f83e4ffacca6f1e07b3a9d05eed4",
+    ("theorem1", "Q"): "27d72f91f32ccc98e1272a49d62a2a52db7d7f48969de1e1a97841a20fabd930",
+    ("theorem2", 2): "f16f0b971410700d1725a1b6a74b378517db075ddcbf5b447c436e0532a608a7",
+    ("theorem2", "Q"): "ed4557b7cd721992351047af330bbf5818013eba0412a09eed605518a7b70aa3",
+    ("lemmas", 2): "b3c2312e4e6cd8720e89fa651f537b55adcf6aad4bf2315a2ee4f6311f93827f",
+    ("lemmas", "Q"): "b2b2afa6fb361c1a7e42fc27739aeb8c6c7f37c2296114d0c3cdde993743f114",
+}
 
 
 def test_properties_seeded_tables_equal_separate_sweeps(monkeypatch):
@@ -46,6 +57,16 @@ def test_properties_seeded_tables_equal_separate_sweeps(monkeypatch):
         rec.pop("wall_ms")
     digest = hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest()
     assert digest == DEFAULT_PROPERTIES_SHA256
+
+
+@pytest.mark.parametrize("suite, field", list(DEFAULT_REPORT_SHA256))
+def test_default_report_digest(suite, field):
+    report = verify.run_suite(suite, field=field)
+    assert report["ok"]
+    for rec in report["instances"]:
+        rec.pop("wall_ms")
+    digest = hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest()
+    assert digest == DEFAULT_REPORT_SHA256[suite, field]
 
 
 @pytest.mark.parametrize(
