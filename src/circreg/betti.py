@@ -35,6 +35,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence
 
 from ._bitops import bits
+from .complexes import _by_size, _list_faces
 from .graphs import Graph, is_cochordal_cover
 from .homology import RATIONALS, field_name, homology_dims_from_sizes, normalize_field
 
@@ -330,18 +331,9 @@ def _core_homology(adj: Sequence[int], core: int, field, memo: dict) -> dict[int
     key = _relabelled(adj, core, verts)
     dims = memo.get(key)
     if dims is None:
-        faces = [0]
-        rest = core
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            av = adj[low.bit_length() - 1]
-            faces += [f | low for f in faces if not f & av]
-        top = max(f.bit_count() for f in faces)
-        sizes: list[list[int]] = [[] for _ in range(top + 1)]
-        for f in faces:
-            sizes[f.bit_count()].append(f)
-        dims = {d: v for d, v in homology_dims_from_sizes(sizes, field).items() if v}
+        # A face's state is the core vertices adjacent to none of its members.
+        faces, _ = _list_faces(core, [(1 << v, 1 << v, ~adj[v]) for v in verts])
+        dims = {d: v for d, v in homology_dims_from_sizes(_by_size(faces), field).items() if v}
         memo[key] = memo[_relabelled(adj, core, verts[::-1])] = dims
     return dims
 

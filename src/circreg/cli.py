@@ -93,12 +93,11 @@ def _graph_cache_key(g: Graph, field) -> str:
 
 def _k_polynomial_holds(g: Graph, table: BettiTable) -> bool:
     """The table's K-polynomial 1 - sum (-1)^i beta_ij t^j equals
-    sum_F t^|F| (1-t)^(n-|F|) over the independent sets F of g."""
+    sum_F t^|F| (1-t)^(n-|F|) over the independent sets F of g; every cell
+    must have 2 <= j <= n."""
     n = g.n
     lhs = [1] + [0] * n
     for (i, j), b in table.entries.items():
-        if not 0 <= j <= n:
-            return False
         lhs[j] -= b if i % 2 == 0 else -b
     rhs = [0] * (n + 1)
     for size, f in enumerate(independent_set_counts(g)):
@@ -118,6 +117,9 @@ def _read_cached(path: str, g: Graph, field) -> BettiTable | None:
             or table.field != field
             or table.zero_ideal != (g.edge_count == 0)
             or table.beta(0, 2) != g.edge_count
+            # Hochster puts beta_ij in H~_{j-i-2}, so j >= i + 2; by Taylor's
+            # resolution i + 1 quadrics have an lcm of degree <= 2i + 2.
+            or any(not i + 2 <= j <= min(2 * i + 2, g.n) for i, j in table.entries)
             or not _k_polynomial_holds(g, table)
         ):
             return None

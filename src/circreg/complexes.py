@@ -4,7 +4,10 @@ the cubic-ladder independence polynomials.
 
 A complex stores its facets as vertex bitmasks.  Two degenerate states are
 kept distinct: the void complex (no faces at all, facets == ()) and the
-complex whose only face is the empty set (facets == (0,)).
+complex whose only face is the empty set (facets == (0,)).  One routine,
+_list_faces, lists faces: from the facets for faces_by_size, and from the
+graph for independence_complex and the Betti sweep's cores.
+independent_set_counts counts independent sets without listing them.
 """
 
 from __future__ import annotations
@@ -166,33 +169,19 @@ class SimplicialComplex:
         return any(m & ~f == 0 for f in self.facets)
 
     def faces_by_size(self) -> list[list[int]]:
-        """All faces as masks, grouped by cardinality (index 0 = empty face).
-
-        Refuses a complex with more than MAX_MATERIALIZED_FACES faces.
+        """All faces as masks, grouped by cardinality (index 0 = empty face),
+        each group ascending.  A face's state is the facets, by index, that
+        contain it.  Refuses more than MAX_MATERIALIZED_FACES faces.
         """
         if self.is_void:
             return []
-        limit = MAX_MATERIALIZED_FACES
-        seen = set()
-        stack = list(self.facets)
-        while stack:
-            m = stack.pop()
-            if m in seen:
-                continue
-            seen.add(m)
-            if len(seen) > limit:
-                raise ValueError(f"complex has more than {limit} faces")
-            for v in bits(m):
-                sub = m ^ (1 << v)
-                if sub not in seen:
-                    stack.append(sub)
-        top = max(m.bit_count() for m in self.facets)
-        out: list[list[int]] = [[] for _ in range(top + 1)]
-        for m in seen:
-            out[m.bit_count()].append(m)
-        for bucket in out:
-            bucket.sort()
-        return out
+        holders = [0] * self.n  # holders[v]: the facets, by index, that contain v
+        for i, f in enumerate(self.facets):
+            for v in bits(f):
+                holders[v] |= 1 << i
+        start = (1 << len(self.facets)) - 1
+        faces, _ = _list_faces(start, [(1 << v, h, h) for v, h in enumerate(holders) if h])
+        return _by_size(faces)
 
     def f_vector(self) -> tuple[int, ...]:
         """(f_-1, f_0, ..., f_D); undefined (raises) for the void complex."""
@@ -237,39 +226,51 @@ class SimplicialComplex:
         return cls.from_facets(d["n"], d["facets"])
 
 
+# -- face listing -------------------------------------------------------------
+
+
+def _list_faces(start: int, steps: Iterable[tuple[int, int, int]]) -> tuple[list[int], list[int]]:
+    """Every face of a complex and its state, as parallel lists in increasing
+    mask order.  Faces grow from the empty face, with state *start*, by the
+    (bit, can, keep) steps in ascending bit order: a face f with state s takes
+    the bit when s & can, and f | bit gets the state s & keep.  Refuses more
+    than MAX_MATERIALIZED_FACES faces, counted before a step is built.
+    """
+    limit = MAX_MATERIALIZED_FACES
+    faces, states = [0], [start]
+    for bit, can, keep in steps:
+        # A step at most doubles the list, so only one past half the bound is counted.
+        if 2 * len(faces) > limit and len(faces) + sum(1 for s in states if s & can) > limit:
+            raise ValueError(f"complex has more than {limit} faces")
+        faces += [f | bit for f, s in zip(faces, states) if s & can]
+        states += [s & keep for s in states if s & can]
+    return faces, states
+
+
+def _by_size(faces: list[int]) -> list[list[int]]:
+    """Faces grouped by cardinality, each group in the order given."""
+    sizes: list[list[int]] = [[] for _ in range(max(map(int.bit_count, faces)) + 1)]
+    for f in faces:
+        sizes[f.bit_count()].append(f)
+    return sizes
+
+
 # -- independence complexes ------------------------------------------------
 
 
-def _maximal_independent_sets(g: Graph) -> list[int]:
-    """All maximal independent sets of g, as masks (Bron-Kerbosch with pivot
-    on the complement)."""
-    n = g.n
-    full = (1 << n) - 1
-    cadj = [full & ~g.adj[v] & ~(1 << v) for v in range(n)]
-    out: list[int] = []
-
-    def bk(r: int, p: int, x: int) -> None:
-        if not p and not x:
-            out.append(r)
-            return
-        pivot_pool = p | x
-        pivot = max(bits(pivot_pool), key=lambda u: (p & cadj[u]).bit_count())
-        cand = p & ~cadj[pivot]
-        for v in bits(cand):
-            vb = 1 << v
-            bk(r | vb, p & cadj[v], x & cadj[v])
-            p ^= vb
-            x |= vb
-
-    bk(0, full, 0)
-    return out
-
-
 def independence_complex(g: Graph) -> SimplicialComplex:
-    """Complex whose faces are exactly the independent vertex sets of g."""
-    if g.n == 0:
-        return SimplicialComplex(0, (0,))
-    return SimplicialComplex(g.n, _maximal_independent_sets(g))
+    """Complex whose faces are exactly the independent vertex sets of g.
+
+    Lists every independent set, refusing more than MAX_MATERIALIZED_FACES;
+    a set's state is the vertices adjacent to none of its members, and a set
+    is a facet exactly when that is the set itself.  The facets come out as
+    a sorted antichain, so the constructor's sort and filter are skipped.
+    """
+    steps = [(1 << v, 1 << v, ~a) for v, a in enumerate(g.adj)]
+    faces, states = _list_faces(g.full_mask, steps)
+    cx = object.__new__(SimplicialComplex)
+    cx.n, cx.facets = g.n, tuple(f for f, s in zip(faces, states) if f == s)
+    return cx
 
 
 def independent_set_counts(g: Graph) -> list[int]:

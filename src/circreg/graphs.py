@@ -228,10 +228,8 @@ class Graph:
         h = self.complement()
         for quad in combinations(range(self.n), 4):
             degs = [sum(1 for u in quad if u != v and h.adjacent(u, v)) for v in quad]
-            if degs == [2, 2, 2, 2]:
-                ecount = sum(1 for a, b in combinations(quad, 2) if h.adjacent(a, b))
-                if ecount == 4:
-                    return False
+            if degs == [2, 2, 2, 2]:  # the only 2-regular graph on 4 vertices is C4
+                return False
         return True
 
     # -- serialization ---------------------------------------------------

@@ -61,7 +61,12 @@ DEFAULT_SEED = 1729
 
 
 def chi_report(g: Graph, fields=(2,)) -> dict:
-    """The three routes to the reduced Euler characteristic of Ind(g)."""
+    """The three routes to the reduced Euler characteristic of Ind(g).
+
+    The homology route sets dim H~_d = f_d - r_{d+1} - r_{d+2} (r_k the
+    boundary rank on faces of size k), which telescopes to the f-vector sum
+    whatever the ranks: it cannot disagree, and shows only that ranks run.
+    """
     cx = independence_complex(g)
     via_f = cx.euler_char()
     via_h = {field_name(f): euler_from_homology(cx, f) for f in fields}

@@ -42,6 +42,24 @@ def faces_by_size_within(g: Graph, w: int) -> list[list[int]]:
     return sizes
 
 
+def maximal_independent_masks(g: Graph) -> list[int]:
+    """Independent sets that no vertex can join, ascending."""
+    return [
+        m for m in independent_masks_within(g, g.full_mask)
+        if not any(independent_mask(g, m | 1 << v) for v in range(g.n) if not m >> v & 1)
+    ]
+
+
+def faces_of_facets(n: int, facets: list[int]) -> list[list[int]]:
+    """Every subset of 0..n-1 inside some facet, grouped by size, ascending;
+    [] when there are no facets."""
+    faces = [m for m in range(1 << n) if any(not m & ~f for f in facets)]
+    if not faces:
+        return []
+    top = max(m.bit_count() for m in faces)
+    return [[m for m in faces if m.bit_count() == k] for k in range(top + 1)]
+
+
 def f_vector(g: Graph) -> tuple[int, ...]:
     sizes = faces_by_size_within(g, g.full_mask)
     return tuple(len(b) for b in sizes)
@@ -165,6 +183,15 @@ def is_chordal(g: Graph) -> bool:
         if seen == w:
             return False
     return True
+
+
+def is_gap_free(g: Graph) -> bool:
+    """No two edges on four distinct vertices with no edge between them."""
+    return not any(
+        len({a, b, c, d}) == 4 and not any(g.adjacent(x, y) for x in (a, b) for y in (c, d))
+        for (a, b) in g.edges
+        for (c, d) in g.edges
+    )
 
 
 # -- per-bit version of the sweep's fold ---------------------------------------

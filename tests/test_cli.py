@@ -275,6 +275,17 @@ class TestCacheAndDeterminism:
         assert warm == cold
         assert [1, 3, 24] in json.loads(cold)["entries"]
 
+    def test_cell_moved_within_its_column_is_recomputed(self, capsys, monkeypatch, tmp_path):
+        # (1,3) -> (3,3) keeps every column's alternating sum, so only the
+        # shape i + 2 <= j <= 2i + 2 of an edge ideal's table rejects it.
+        def move(d):
+            cell = d["entries"].index([1, 3, 24])
+            d["entries"][cell] = [3, 3, 24]
+
+        cold, warm = self._tamper(capsys, monkeypatch, tmp_path, "betti", "circulant:8:1,4", move)
+        assert warm == cold
+        assert [1, 3, 24] in json.loads(cold)["entries"]
+
     def test_non_integer_betti_number_is_recomputed(self, capsys, monkeypatch, tmp_path):
         def stringify(d):
             cell = d["entries"].index([1, 3, 24])

@@ -19,6 +19,7 @@ from circreg.complexes import (
     transfer_matrix_indpoly,
 )
 from circreg.graphs import (
+    Graph,
     circulant,
     complete_graph,
     cycle_graph,
@@ -119,6 +120,55 @@ class TestIndependenceComplex:
     def test_f_vectors_from_spec_families(self):
         assert independence_complex(cycle_graph(5)).f_vector() == (1, 5, 5)
         assert independence_complex(circulant(8, {1, 4})).f_vector() == (1, 8, 16, 8)
+
+
+class TestFaceLister:
+    """independence_complex and faces_by_size share one face lister; both are
+    checked against brute force, including the order of every list."""
+
+    @staticmethod
+    def _check_facets(g):
+        assert independence_complex(g).facets == tuple(naive_ref.maximal_independent_masks(g)), g.edges
+
+    def test_facets_on_all_five_vertex_graphs(self):
+        pairs = list(combinations(range(5), 2))
+        for m in range(1 << len(pairs)):
+            self._check_facets(Graph(5, [e for k, e in enumerate(pairs) if m >> k & 1]))
+
+    def test_facets_on_a_seeded_sample(self):
+        rng = random.Random(59)
+        for n in range(6, 11):
+            for _ in range(4):
+                self._check_facets(random_graph(n, rng.uniform(0.1, 0.8), rng))
+
+    def test_facets_without_vertices_and_with_one(self):
+        for g, facets in ((empty_graph(0), (0,)), (empty_graph(1), (1,))):
+            assert independence_complex(g).facets == facets == tuple(naive_ref.maximal_independent_masks(g))
+
+    def test_faces_by_size_of_non_flag_complexes(self):
+        rng = random.Random(61)
+        for _ in range(60):
+            n = rng.randint(1, 8)
+            facets = [rng.randrange(1 << n) for _ in range(rng.randint(1, 6))]
+            got = SimplicialComplex(n, facets).faces_by_size()
+            assert got == naive_ref.faces_of_facets(n, facets), (n, facets)
+
+    def test_faces_by_size_of_void_and_empty_face_complexes(self):
+        assert SimplicialComplex.from_facets(3, []).faces_by_size() == [] == naive_ref.faces_of_facets(3, [])
+        assert SimplicialComplex.from_facets(3, [[]]).faces_by_size() == [[0]] == naive_ref.faces_of_facets(3, [0])
+
+    def test_independence_complex_refuses_more_than_the_bound(self, monkeypatch):
+        rng = random.Random(67)
+        graphs = [empty_graph(k) for k in range(6)] + [random_graph(7, 0.4, rng) for _ in range(4)]
+        for g in graphs:
+            count = len(naive_ref.independent_masks_within(g, g.full_mask))
+            for limit in range(max(1, count - 2), count + 3):
+                monkeypatch.setattr(circreg.complexes, "MAX_MATERIALIZED_FACES", limit)
+                if limit < count:
+                    with pytest.raises(ValueError, match=f"more than {limit} faces"):
+                        independence_complex(g)
+                else:
+                    assert independence_complex(g).facets == tuple(naive_ref.maximal_independent_masks(g))
 
 
 class TestRestriction:

@@ -182,6 +182,12 @@ class TestClawGapFree:
     def test_two_disjoint_edges_have_a_gap(self):
         assert not Graph(4, [(0, 1), (2, 3)]).is_gap_free()
 
+    def test_gap_free_matches_the_definition_on_all_five_vertex_graphs(self):
+        pairs = [(a, b) for a in range(5) for b in range(a + 1, 5)]
+        for m in range(1 << len(pairs)):
+            g = Graph(5, [e for k, e in enumerate(pairs) if m >> k & 1])
+            assert g.is_gap_free() == naive_ref.is_gap_free(g), g.edges
+
 
 class TestCochordalCover:
     def test_c4_covers_itself(self):
