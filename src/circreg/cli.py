@@ -113,7 +113,10 @@ def _read_cached(path: str, g: Graph, field) -> BettiTable | None:
         with open(path, "r", encoding="utf-8") as fh:
             table = BettiTable.from_json_dict(json.load(fh))
         if (
-            table.n != g.n
+            # JSON floats and booleans pass the checks below (8.0 == 8, True == 1)
+            type(table.n) is not int
+            or any(type(x) is not int for (i, j), b in table.entries.items() for x in (i, j, b))
+            or table.n != g.n
             or table.field != field
             or table.zero_ideal != (g.edge_count == 0)
             or table.beta(0, 2) != g.edge_count

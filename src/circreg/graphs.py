@@ -166,51 +166,23 @@ class Graph:
     # -- structure tests -----------------------------------------------
 
     def is_chordal(self) -> bool:
-        """Chordality via lexicographic BFS plus elimination-order check.
+        """True when no induced cycle has four or more vertices.
 
-        A graph is chordal iff the reverse of a lex-BFS order is a perfect
-        elimination ordering, which is verified directly.
+        A vertex is simplicial when its neighbours form a clique.  Every
+        chordal graph has one (Dirac), deleting it leaves a chordal graph, and
+        any simplicial vertex may go first (Fulkerson-Gross): the graph is
+        chordal iff deleting simplicial vertices empties it.
         """
-        if self.n <= 2 or not self.edges:
-            return True
-        order = self._lex_bfs_order()
-        elim = order[::-1]
-        pos = [0] * self.n
-        for k, v in enumerate(elim):
-            pos[v] = k
-        remaining = self.full_mask
-        for v in elim:
-            remaining ^= 1 << v
-            later = self.adj[v] & remaining
-            if not later:
-                continue
-            u = min(bits(later), key=pos.__getitem__)
-            if later & ~(self.adj[u] | (1 << u)):
+        left = self.full_mask
+        while left:
+            before = left
+            for v in bits(before):
+                nbrs = self.adj[v] & left
+                if all(nbrs & ~self.adj[u] == 1 << u for u in bits(nbrs)):
+                    left ^= 1 << v
+            if left == before:
                 return False
         return True
-
-    def _lex_bfs_order(self) -> list[int]:
-        # Partition refinement: repeatedly emit the head of the first block
-        # and split every remaining block into (neighbors, non-neighbors).
-        blocks = [list(range(self.n))]
-        order = []
-        while blocks:
-            head = blocks[0]
-            v = head.pop(0)
-            if not head:
-                blocks.pop(0)
-            order.append(v)
-            av = self.adj[v]
-            refined = []
-            for blk in blocks:
-                inside = [u for u in blk if av >> u & 1]
-                outside = [u for u in blk if not av >> u & 1]
-                if inside:
-                    refined.append(inside)
-                if outside:
-                    refined.append(outside)
-            blocks = refined
-        return order
 
     def is_claw_free(self) -> bool:
         """True when no induced star on three leaves exists."""
@@ -224,13 +196,13 @@ class Graph:
         return True
 
     def is_gap_free(self) -> bool:
-        """True when the complement has no induced four-cycle."""
-        h = self.complement()
-        for quad in combinations(range(self.n), 4):
-            degs = [sum(1 for u in quad if u != v and h.adjacent(u, v)) for v in quad]
-            if degs == [2, 2, 2, 2]:  # the only 2-regular graph on 4 vertices is C4
-                return False
-        return True
+        """True when no two edges form an induced 2K2 (a gap): edges ab and
+        cd on four distinct vertices with no edge between {a, b} and {c, d}.
+        Edges that share a vertex pass the same mask test."""
+        return all(
+            (self.adj[a] | self.adj[b]) & (1 << c | 1 << d)
+            for (a, b), (c, d) in combinations(self.edges, 2)
+        )
 
     # -- serialization ---------------------------------------------------
 
@@ -491,29 +463,24 @@ def graph_to_json_dict(g: Graph) -> dict:
 
 
 def graph_from_json_dict(d: dict) -> Graph:
+    """Graph from its JSON dict.  JSON booleans are not integers here, and an
+    edge listed twice is an error; Graph rejects loops and out-of-range ends."""
     if not isinstance(d, dict) or "n" not in d or "edges" not in d:
         raise ValueError("graph JSON needs 'n' and 'edges'")
-    n = d["n"]
-    if not isinstance(n, int) or n < 0:
+    n, edges = d["n"], d["edges"]
+    if type(n) is not int:
         raise ValueError("'n' must be a non-negative integer")
+    if not isinstance(edges, (list, tuple)):
+        raise ValueError("'edges' must be a list of [i, j] pairs")
     seen = set()
-    es = []
-    for e in d["edges"]:
-        if not isinstance(e, (list, tuple)) or len(e) != 2:
+    for e in edges:
+        if not isinstance(e, (list, tuple)) or len(e) != 2 or any(type(x) is not int for x in e):
             raise ValueError(f"malformed edge {e!r}")
-        i, j = e
-        if not (isinstance(i, int) and isinstance(j, int)):
-            raise ValueError(f"malformed edge {e!r}")
-        if i == j:
-            raise ValueError(f"loop at vertex {i}")
-        if not (0 <= i < n and 0 <= j < n):
-            raise ValueError(f"edge {e!r} out of range for {n} vertices")
-        key = (min(i, j), max(i, j))
+        key = (min(e), max(e))
         if key in seen:
             raise ValueError(f"duplicate edge {e!r}")
         seen.add(key)
-        es.append(key)
-    return Graph(n, es)
+    return Graph(n, seen)
 
 
 def graph_to_json(g: Graph) -> str:

@@ -135,6 +135,13 @@ class TestExitCodes:
         error = json.loads(out)["error"]
         assert "22 vertices" in error and "--limit-vertices" in error and "vertex_limit" not in error
 
+    @pytest.mark.parametrize("graph", [{"n": 3, "edges": 5}, {"n": True, "edges": []}, {"n": 3, "edges": [[True, 2]]}])
+    def test_bad_graph_json_exits_2(self, capsys, tmp_path, graph):
+        path = tmp_path / "g.json"
+        path.write_text(json.dumps(graph))
+        code, _, err = run(capsys, "gen", str(path))
+        assert code == 2 and "bad graph JSON" in err
+
     def test_json_error_payload(self, capsys):
         code, out, _ = run(capsys, "reg", "wheel:9", "--json")
         assert code == 2
@@ -292,6 +299,18 @@ class TestCacheAndDeterminism:
             d["entries"][cell] = [1, 3, "24"]
 
         cold, warm = self._tamper(capsys, monkeypatch, tmp_path, "betti", "circulant:8:1,4", stringify)
+        assert warm == cold
+
+    @pytest.mark.parametrize(
+        "cell, n", [([1, 3, 24.0], 8), ([True, 3, 24], 8), ([1, 3, 24], 8.0)], ids=["float-beta", "bool-i", "float-n"]
+    )
+    def test_float_or_boolean_in_entry_is_recomputed(self, capsys, monkeypatch, tmp_path, cell, n):
+        # In JSON 24.0 == 24 and true == 1, so the table's checks alone pass them.
+        def retype(d):
+            d["entries"][d["entries"].index([1, 3, 24])] = cell
+            d["n"] = n
+
+        cold, warm = self._tamper(capsys, monkeypatch, tmp_path, "betti", "circulant:8:1,4", retype)
         assert warm == cold
 
     def test_cache_path_that_is_a_file_exits_2(self, capsys, tmp_path):

@@ -187,6 +187,7 @@ class TestClawGapFree:
         for m in range(1 << len(pairs)):
             g = Graph(5, [e for k, e in enumerate(pairs) if m >> k & 1])
             assert g.is_gap_free() == naive_ref.is_gap_free(g), g.edges
+            assert g.is_chordal() == naive_ref.is_chordal(g), g.edges
 
 
 class TestCochordalCover:
@@ -324,6 +325,20 @@ class TestJson:
             graph_from_json_dict({"n": 3, "edges": [[2, 2]]})
         with pytest.raises(ValueError):
             graph_from_json_dict({"n": 3, "edges": [[0, 5]]})
+
+    @pytest.mark.parametrize(
+        "d",
+        [
+            {"n": 3, "edges": 5},
+            {"n": True, "edges": []},
+            {"n": 3.0, "edges": []},
+            {"n": 3, "edges": [[True, 2]]},
+            {"n": 3, "edges": [[0, 1.0]]},
+        ],
+    )
+    def test_rejects_non_list_edges_and_non_integers(self, d):
+        with pytest.raises(ValueError):
+            graph_from_json_dict(d)
 
     def test_sorted_output(self):
         d = graph_to_json_dict(circulant(6, {1, 2}))
