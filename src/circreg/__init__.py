@@ -21,8 +21,6 @@ from .graphs import (
     is_cochordal_cover,
     are_isomorphic,
     random_graph,
-    graph_to_json,
-    graph_from_json,
 )
 from .complexes import (
     IntPoly,
@@ -46,8 +44,6 @@ from .betti import (
     ZeroIdealError,
     VertexLimitError,
     hochster_betti_table,
-    regularity,
-    projective_dimension,
     RegDecision,
     decide_regularity,
     property_suite,

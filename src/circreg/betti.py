@@ -45,8 +45,6 @@ __all__ = [
     "VertexLimitError",
     "hochster_betti_table",
     "induced_betti_tables",
-    "regularity",
-    "projective_dimension",
     "RegDecision",
     "decide_regularity",
     "PropertyCheck",
@@ -155,16 +153,6 @@ class BettiTable:
         for i in range(imax + 1):
             lines.append(f"{i}," + ",".join(str(self.beta(i, j)) for j in range(jmax + 1)))
         return "\n".join(lines) + "\n"
-
-
-def regularity(table: BettiTable) -> int:
-    """max(j - i) over the nonzero entries."""
-    return table.regularity
-
-
-def projective_dimension(table: BettiTable) -> int:
-    """max(i) over the nonzero entries."""
-    return table.projective_dimension
 
 
 # -- the subset sweep ---------------------------------------------------------
@@ -348,7 +336,8 @@ def hochster_betti_table(
 
     Edgeless graphs give the distinguished zero-ideal table.  The sweep is
     exponential in the vertex count and refuses graphs above *vertex_limit*.
-    It is serial: *workers* is accepted for compatibility and ignored.
+    It is serial and ignores *workers*.  The parameter stays because
+    perfbench/run.py reads it from this signature to time workers=2.
     """
     field = normalize_field(field)
     _check_vertex_limit(g, vertex_limit, "vertex_limit")

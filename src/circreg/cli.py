@@ -33,7 +33,7 @@ from .graphs import (
     family_a,
     family_b,
     family_d,
-    graph_from_json,
+    graph_from_json_dict,
     moebius,
     prism,
 )
@@ -52,10 +52,10 @@ def parse_graph_spec(spec: str) -> Graph:
     if os.path.sep in spec or spec.endswith(".json") or os.path.exists(spec):
         try:
             with open(spec, "r", encoding="utf-8") as fh:
-                return graph_from_json(fh.read())
+                return graph_from_json_dict(json.load(fh))
         except OSError as exc:
             raise SpecError(f"cannot read graph file {spec!r}: {exc}") from exc
-        except (ValueError, KeyError) as exc:
+        except (ValueError, RecursionError) as exc:  # json recurses once per nesting level
             raise SpecError(f"bad graph JSON in {spec!r}: {exc}") from exc
     parts = spec.split(":")
     try:
@@ -126,8 +126,8 @@ def _read_cached(path: str, g: Graph, field) -> BettiTable | None:
             or not _k_polynomial_holds(g, table)
         ):
             return None
-    except (FileNotFoundError, ValueError, KeyError, TypeError):
-        return None  # missing, truncated or hand-edited: recompute it
+    except (FileNotFoundError, ValueError, KeyError, TypeError, RecursionError):
+        return None  # missing, truncated, too deeply nested or hand-edited: recompute it
     return table
 
 
@@ -296,7 +296,12 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common(p, cache=False):
         p.add_argument("--json", action="store_true", help="machine-readable output")
         p.add_argument("--field", default="2", help="coefficient field: a prime or Q")
-        p.add_argument("--workers", type=int, default=1, help="accepted and ignored: the sweep is serial")
+        p.add_argument(
+            "--workers",
+            type=int,
+            default=1,
+            help="ignored: the sweep is serial; kept like the sweep's workers, which perfbench/run.py reads",
+        )
         p.add_argument(
             "--limit-vertices",
             type=int,
@@ -369,7 +374,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--json", action="store_true")
     p.add_argument("--field", default="2")
-    p.add_argument("--workers", type=int, default=1, help="accepted and ignored: the sweep is serial")
+    p.add_argument(
+        "--workers",
+        type=int,
+        default=1,
+        help="ignored: the sweep is serial; kept because perfbench/run.py times verify --workers 2",
+    )
     p.set_defaults(func=_cmd_verify)
 
     return parser

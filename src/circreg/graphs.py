@@ -9,7 +9,6 @@ queries sit in the innermost loop of the Betti-number subset sweep.
 
 from __future__ import annotations
 
-import json
 import math
 import random
 from itertools import combinations
@@ -36,10 +35,7 @@ __all__ = [
     "is_cochordal_cover",
     "are_isomorphic",
     "random_graph",
-    "graph_to_json_dict",
     "graph_from_json_dict",
-    "graph_to_json",
-    "graph_from_json",
 ]
 
 
@@ -458,10 +454,6 @@ def random_graph(n: int, p: float, rng: random.Random) -> Graph:
 # -- JSON interchange ------------------------------------------------------
 
 
-def graph_to_json_dict(g: Graph) -> dict:
-    return g.to_json_dict()
-
-
 def graph_from_json_dict(d: dict) -> Graph:
     """Graph from its JSON dict.  JSON booleans are not integers here, and an
     edge listed twice is an error; Graph rejects loops and out-of-range ends."""
@@ -481,11 +473,3 @@ def graph_from_json_dict(d: dict) -> Graph:
             raise ValueError(f"duplicate edge {e!r}")
         seen.add(key)
     return Graph(n, seen)
-
-
-def graph_to_json(g: Graph) -> str:
-    return json.dumps(g.to_json_dict(), sort_keys=True)
-
-
-def graph_from_json(text: str) -> Graph:
-    return graph_from_json_dict(json.loads(text))

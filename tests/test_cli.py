@@ -11,7 +11,7 @@ import circreg
 import circreg.cli as cli
 import circreg.verify as verify
 from circreg.cli import main, parse_graph_spec
-from circreg.graphs import circulant, family_b, graph_to_json, moebius
+from circreg.graphs import circulant, family_b, moebius
 
 
 def run(capsys, *argv):
@@ -30,7 +30,7 @@ class TestGraphSpecs:
 
     def test_json_file(self, tmp_path):
         path = tmp_path / "g.json"
-        path.write_text(graph_to_json(circulant(6, {1})))
+        path.write_text(json.dumps(circulant(6, {1}).to_json_dict(), sort_keys=True))
         assert parse_graph_spec(str(path)) == circulant(6, {1})
 
     @pytest.mark.parametrize("bad", ["circulant:10", "wheel:4", "circulant:4:9", "A:x"])
@@ -135,10 +135,19 @@ class TestExitCodes:
         error = json.loads(out)["error"]
         assert "22 vertices" in error and "--limit-vertices" in error and "vertex_limit" not in error
 
-    @pytest.mark.parametrize("graph", [{"n": 3, "edges": 5}, {"n": True, "edges": []}, {"n": 3, "edges": [[True, 2]]}])
+    @pytest.mark.parametrize(
+        "graph",
+        [
+            {"n": 3, "edges": 5},
+            {"n": True, "edges": []},
+            {"n": 3, "edges": [[True, 2]]},
+            # json.load recurses once per level and raises RecursionError
+            pytest.param("[" * 100_000, id="deep_nesting"),
+        ],
+    )
     def test_bad_graph_json_exits_2(self, capsys, tmp_path, graph):
         path = tmp_path / "g.json"
-        path.write_text(json.dumps(graph))
+        path.write_text(graph if isinstance(graph, str) else json.dumps(graph))
         code, _, err = run(capsys, "gen", str(path))
         assert code == 2 and "bad graph JSON" in err
 
@@ -224,6 +233,15 @@ class TestCacheAndDeterminism:
         code, warm, _ = run(capsys, "betti", "circulant:8:1,4", "--json", "--cache", str(cache))
         assert code == 0 and warm == cold
         assert list(cache.iterdir()) == [entry]
+        assert json.loads(entry.read_text()) == json.loads(cold)
+
+    def test_deeply_nested_cache_entry_is_recomputed(self, capsys, tmp_path):
+        cache = tmp_path / "cache"
+        _, cold, _ = run(capsys, "betti", "circulant:8:1,4", "--json", "--cache", str(cache))
+        (entry,) = cache.iterdir()
+        entry.write_text("[" * 100_000)
+        code, warm, _ = run(capsys, "betti", "circulant:8:1,4", "--json", "--cache", str(cache))
+        assert code == 0 and warm == cold
         assert json.loads(entry.read_text()) == json.loads(cold)
 
     def test_tampered_cache_entry_is_not_served(self, capsys, tmp_path):

@@ -21,7 +21,6 @@ from circreg.graphs import (
     family_b,
     family_d,
     graph_from_json_dict,
-    graph_to_json_dict,
     is_cochordal_cover,
     moebius,
     path_graph,
@@ -314,7 +313,7 @@ class TestIsomorphism:
 class TestJson:
     def test_round_trip(self):
         g = circulant(10, {1, 3})
-        assert graph_from_json_dict(graph_to_json_dict(g)) == g
+        assert graph_from_json_dict(g.to_json_dict()) == g
 
     def test_rejects_duplicates(self):
         with pytest.raises(ValueError):
@@ -341,5 +340,5 @@ class TestJson:
             graph_from_json_dict(d)
 
     def test_sorted_output(self):
-        d = graph_to_json_dict(circulant(6, {1, 2}))
+        d = circulant(6, {1, 2}).to_json_dict()
         assert d["edges"] == sorted(d["edges"])
