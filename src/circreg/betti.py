@@ -31,7 +31,7 @@ vertex order, the key of its mirror image.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable, Iterable, Optional, Sequence
 
 from ._bitops import bits
@@ -144,11 +144,8 @@ class BettiTable:
             lines = ["i,j,beta"]
             lines += [f"{i},{j},{b}" for (i, j, b) in self.items_sorted()]
             return "\n".join(lines) + "\n"
-        if self.entries:
-            imax = max(i for (i, j) in self.entries)
-            jmax = max(j for (i, j) in self.entries)
-        else:
-            imax = jmax = 0
+        imax = max(i for (i, j) in self.entries)
+        jmax = max(j for (i, j) in self.entries)
         lines = ["i\\j," + ",".join(str(j) for j in range(jmax + 1))]
         for i in range(imax + 1):
             lines.append(f"{i}," + ",".join(str(self.beta(i, j)) for j in range(jmax + 1)))
@@ -429,14 +426,7 @@ class RegDecision:
         return self.outcome == OUTCOME_REGULARITY
 
     def to_json_dict(self) -> dict:
-        return {
-            "outcome": self.outcome,
-            "value": self.value,
-            "n": self.n,
-            "r": self.r,
-            "pd_bound": self.pd_bound,
-            "chi": self.chi,
-        }
+        return asdict(self)
 
 
 def decide_regularity(n: int, r: int, pd_bound: str, chi: int) -> RegDecision:
@@ -492,10 +482,7 @@ class PropertyReport:
         return {
             "graph": self.graph,
             "passed": self.all_passed,
-            "checks": [
-                {"name": c.name, "applicable": c.applicable, "passed": c.passed, "detail": c.detail}
-                for c in self.checks
-            ],
+            "checks": [asdict(c) for c in self.checks],
         }
 
 

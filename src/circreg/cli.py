@@ -116,6 +116,7 @@ def _read_cached(path: str, g: Graph, field) -> BettiTable | None:
             # JSON floats and booleans pass the checks below (8.0 == 8, True == 1)
             type(table.n) is not int
             or any(type(x) is not int for (i, j), b in table.entries.items() for x in (i, j, b))
+            or any(b < 1 for b in table.entries.values())  # dimensions, and zeros are never stored
             or table.n != g.n
             or table.field != field
             or table.zero_ideal != (g.edge_count == 0)
@@ -133,9 +134,8 @@ def _read_cached(path: str, g: Graph, field) -> BettiTable | None:
 
 def _table_for(g: Graph, field, args) -> BettiTable:
     """Betti table with optional directory-backed caching."""
-    cache_dir = getattr(args, "cache", None)
-    use_cache = cache_dir and not getattr(args, "no_cache", False)
-    if use_cache:
+    cache_dir = None if args.no_cache else args.cache
+    if cache_dir:
         try:
             os.makedirs(cache_dir, exist_ok=True)
         except OSError as exc:
@@ -146,7 +146,7 @@ def _table_for(g: Graph, field, args) -> BettiTable:
             return table
     _check_vertex_limit(g, args.limit_vertices, "--limit-vertices")
     table = hochster_betti_table(g, field, vertex_limit=args.limit_vertices)
-    if use_cache:
+    if cache_dir:
         # A reader sees the old entry or the whole new one, never a partial write.
         fd, tmp = tempfile.mkstemp(dir=cache_dir, suffix=".tmp")
         try:
@@ -293,44 +293,34 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, cache=False):
-        p.add_argument("--json", action="store_true", help="machine-readable output")
-        p.add_argument("--field", default="2", help="coefficient field: a prime or Q")
-        p.add_argument(
-            "--workers",
-            type=int,
-            default=1,
-            help="ignored: the sweep is serial; kept like the sweep's workers, which perfbench/run.py reads",
-        )
-        p.add_argument(
-            "--limit-vertices",
-            type=int,
-            default=DEFAULT_VERTEX_LIMIT,
-            help="refuse sweeps above this vertex count",
-        )
-        if cache:
-            p.add_argument("--cache", help="directory for Betti table cache")
-            p.add_argument("--no-cache", action="store_true", help="bypass the cache")
+    json_flag = argparse.ArgumentParser(add_help=False)
+    json_flag.add_argument("--json", action="store_true", help="machine-readable output")
+    table_flags = argparse.ArgumentParser(add_help=False, parents=[json_flag])
+    table_flags.add_argument("graph")
+    table_flags.add_argument("--field", default="2", help="coefficient field: a prime or Q")
+    table_flags.add_argument(
+        "--limit-vertices",
+        type=int,
+        default=DEFAULT_VERTEX_LIMIT,
+        help="refuse sweeps above this vertex count",
+    )
+    table_flags.add_argument("--cache", help="directory for Betti table cache")
+    table_flags.add_argument("--no-cache", action="store_true", help="bypass the cache")
 
     p = sub.add_parser("gen", help="emit a graph as JSON")
     p.add_argument("graph")
     p.set_defaults(func=_cmd_gen)
 
-    p = sub.add_parser("betti", help="full graded Betti table")
-    p.add_argument("graph")
+    p = sub.add_parser("betti", parents=[table_flags], help="full graded Betti table")
     p.add_argument("--csv", action="store_true", help="CSV table output (the default)")
     p.add_argument("--nonzero", action="store_true", help="emit only nonzero entries")
-    add_common(p, cache=True)
     p.set_defaults(func=_cmd_betti)
 
-    p = sub.add_parser("reg", help="regularity and projective dimension")
-    p.add_argument("graph")
-    add_common(p, cache=True)
+    p = sub.add_parser("reg", parents=[table_flags], help="regularity and projective dimension")
     p.set_defaults(func=_cmd_reg)
 
-    p = sub.add_parser("euler", help="reduced Euler characteristic, three ways")
+    p = sub.add_parser("euler", parents=[json_flag], help="reduced Euler characteristic, three ways")
     p.add_argument("graph")
-    p.add_argument("--json", action="store_true", help="machine-readable output")
     p.add_argument(
         "--field",
         action="append",
@@ -338,41 +328,35 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(func=_cmd_euler)
 
-    p = sub.add_parser("indpoly", help="independence polynomial")
+    p = sub.add_parser("indpoly", parents=[json_flag], help="independence polynomial")
     p.add_argument("graph")
-    p.add_argument("--json", action="store_true", help="machine-readable output")
     p.set_defaults(func=_cmd_indpoly)
 
     p = sub.add_parser("formula", help="closed forms and bounds")
     fsub = p.add_subparsers(dest="formula", required=True)
-    q = fsub.add_parser("reg-hat-j")
+    q = fsub.add_parser("reg-hat-j", parents=[json_flag])
     q.add_argument("n", type=int)
     q.add_argument("j", type=int)
-    q.add_argument("--json", action="store_true")
     q.set_defaults(func=_cmd_formula)
-    q = fsub.add_parser("reg-cubic")
+    q = fsub.add_parser("reg-cubic", parents=[json_flag])
     q.add_argument("n", type=int)
     q.add_argument("a", type=int)
-    q.add_argument("--json", action="store_true")
     q.set_defaults(func=_cmd_formula)
-    q = fsub.add_parser("hoshino")
+    q = fsub.add_parser("hoshino", parents=[json_flag])
     q.add_argument("n", type=int)
     q.add_argument("--variant", choices=("printed", "corrected"), default="corrected")
-    q.add_argument("--json", action="store_true")
     q.set_defaults(func=_cmd_formula)
-    q = fsub.add_parser("bounds")
+    q = fsub.add_parser("bounds", parents=[json_flag])
     q.add_argument("kind", choices=("A", "B", "D", "moebius", "prism"))
     q.add_argument("t", type=int, help="t for families, n for the cubic kinds")
-    q.add_argument("--json", action="store_true")
     q.set_defaults(func=_cmd_formula)
 
-    p = sub.add_parser("verify", help="run a verification sweep")
+    p = sub.add_parser("verify", parents=[json_flag], help="run a verification sweep")
     p.add_argument("suite", choices=sorted(SUITES))
     p.add_argument("--nmax", type=int, default=None)
     p.add_argument("--tmax", type=int, default=None)
     p.add_argument("--count", type=int, default=None)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--json", action="store_true")
     p.add_argument("--field", default="2")
     p.add_argument(
         "--workers",

@@ -270,12 +270,7 @@ def family_a(t: int) -> Graph:
     """
     if t < 1:
         raise ValueError("need t >= 1")
-    top = list(range(t + 2))
-    bot = list(range(t + 2, 2 * t + 4))
-    es = [(top[i], top[i + 1]) for i in range(t + 1)]
-    es += [(bot[i], bot[i + 1]) for i in range(t + 1)]
-    es += [(top[i], bot[i]) for i in range(1, t + 2)]
-    return Graph(2 * t + 4, es)
+    return Graph(2 * t + 4, family_b(t + 1).edges - {(0, t + 2)})
 
 
 def family_b(t: int) -> Graph:

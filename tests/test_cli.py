@@ -311,6 +311,16 @@ class TestCacheAndDeterminism:
         assert warm == cold
         assert [1, 3, 24] in json.loads(cold)["entries"]
 
+    def test_negative_betti_number_is_recomputed(self, capsys, monkeypatch, tmp_path):
+        # +1 at (2,6) and -1 at (4,6) keep column 6's alternating sum and the
+        # shape, but a negative count would read as a cell: reg 4, not 3.
+        def cancel(d):
+            d["entries"] += [[2, 6, 1], [4, 6, -1]]
+
+        cold, warm = self._tamper(capsys, monkeypatch, tmp_path, "betti", "circulant:8:1,4", cancel)
+        assert warm == cold
+        assert json.loads(cold)["reg"] == 3
+
     def test_non_integer_betti_number_is_recomputed(self, capsys, monkeypatch, tmp_path):
         def stringify(d):
             cell = d["entries"].index([1, 3, 24])
@@ -338,10 +348,13 @@ class TestCacheAndDeterminism:
         assert code == 2
         assert "cache" in json.loads(out)["error"]
 
-    def test_workers_byte_identical(self, capsys):
-        _, a, _ = run(capsys, "betti", "moebius:5", "--json", "--workers", "1")
-        _, b, _ = run(capsys, "betti", "moebius:5", "--json", "--workers", "8")
-        assert a == b
+    def test_betti_and_reg_reject_workers(self, capsys):
+        # Only verify takes --workers; the table commands never read it.
+        for command in ("betti", "reg"):
+            with pytest.raises(SystemExit) as exc:
+                main([command, "moebius:5", "--json", "--workers", "2"])
+            assert exc.value.code == 2
+            assert "--workers" in capsys.readouterr().err
 
     def test_verify_reports_deterministic(self, capsys):
         def normalize(text):
