@@ -14,11 +14,15 @@ the reduction is exact over every field.  An isolated vertex is the
 degenerate fold: the restriction is a cone and the subset is skipped.
 Otherwise the homology is computed once per folded graph up to
 relabelling, while the entry still uses the size j of the original subset.
-The fold reads neighbourhood unions and intersections off lookup tables
-built once per sweep: the vertices split into a low and a high half, and
-for every subset of each half one table holds the union and one the
-intersection of its vertices' neighbourhoods, so any vertex set's union or
-intersection is one lookup per half (2^ceil(n/2) entries per table).
+The fold is bit-sliced (E. Biham, "A fast new DES implementation in
+software", FSE 1997): the subsets of a sweep are transposed into one
+bit-plane per vertex, an integer whose bit t says that subset t holds the
+vertex, so that one integer operation acts on every subset at once.  Each
+round drops the subsets with an isolated vertex and then, for each ordered
+pair (u, v) of non-adjacent vertices with a common neighbour, clears v from
+every subset holding u and v but no vertex of N(u) - N(v); rounds repeat
+until one folds nothing.  The planes are transposed back to one folded
+core per subset, and the subsets are counted by core and size.
 When the rotation v -> v+1 (mod n) is an automorphism, only one subset per
 orbit is computed and its contribution multiplied by the orbit size.  The
 orbits are binary necklaces, generated directly by the Fredricksen-Kessler-
@@ -31,7 +35,11 @@ vertex order, the key of its mirror image.
 
 from __future__ import annotations
 
+import sys
+from array import array
+from collections import Counter
 from dataclasses import asdict, dataclass
+from itertools import compress
 from typing import Callable, Iterable, Optional, Sequence
 
 from ._bitops import bits
@@ -202,90 +210,119 @@ def _necklaces(n: int) -> list[tuple[int, int]]:
     return out
 
 
-def _fold_tables(adj: Sequence[int]) -> tuple:
-    """Lookup tables for _fold: (adj, k, low-half mask, union_lo, inter_lo,
-    union_hi, inter_hi).  The n vertices split into the low k = ceil(n/2) and
-    the high n - k; for every sub-mask s of a half, union[s] is the union and
-    inter[s] the intersection of the neighbourhoods of the vertices in s,
-    with 0 and the full mask for the empty s.  Any vertex set's union or
-    intersection is then one lookup per half."""
-    n = len(adj)
-    k = (n + 1) // 2
-    full = (1 << n) - 1
-    tables = []
-    for half in (adj[:k], adj[k:]):
-        union = [0] * (1 << len(half))
-        inter = [full] * (1 << len(half))
-        for s in range(1, 1 << len(half)):
-            low = s & -s
-            a = half[low.bit_length() - 1]
-            union[s] = union[s ^ low] | a
-            inter[s] = inter[s ^ low] & a
-        tables += (union, inter)
-    return (adj, k, (1 << k) - 1, *tables)
+# Subsets folded together.  A slice's planes are _SLICE bits wide, and its
+# transpositions copy it a few times over, so this bounds their memory.
+_SLICE = 1 << 16
+
+# _ONES[i] maps a byte to b"1" when its bit i is set and to b"0" otherwise;
+# _BIT[i] maps b"1" to the byte 1 << i and b"0" to 0.
+_ONES = [bytes(b"01"[x >> i & 1] for x in range(256)) for i in range(8)]
+_BIT = [bytes((1 << i) * (x == ord("1")) for x in range(256)) for i in range(8)]
 
 
-def _fold(tables: tuple, mask: int) -> int:
-    """Vertex set left after folding the graph induced on *mask*, or 0 when
-    its independence complex is a cone; *tables* are _fold_tables(adj).
+def _planes(masks: Sequence[int], n: int) -> list[int]:
+    """Transpose *masks* into n bit-planes: bit t of plane v is set when
+    masks[t] holds vertex v.
+
+    The masks are packed as 64-bit little-endian words whatever the host's
+    byte order.  Every 8th byte from offset b is byte b of each mask;
+    reversed and translated to b"0"/b"1" for one of its bits, it is the
+    binary numeral of that vertex's plane, read by int(..., 2)."""
+    words = array("Q", masks)
+    if sys.byteorder == "big":
+        words.byteswap()
+    data = words.tobytes()
+    planes = []
+    for v in range(n):
+        if not v % 8:
+            column = data[v // 8::8][::-1]
+        planes.append(int(column.translate(_ONES[v % 8]), 2))
+    return planes
+
+
+def _masks(planes: Sequence[int], count: int) -> list[int]:
+    """The *count* masks whose bit-planes are *planes*: _planes inverted."""
+    digits = f"0{count}b"
+    data = bytearray(8 * count)
+    for b in range(0, len(planes), 8):
+        column = 0
+        for i, plane in enumerate(planes[b:b + 8]):
+            column |= int.from_bytes(format(plane, digits).encode().translate(_BIT[i]), "big")
+        data[b // 8::8] = column.to_bytes(count, "big")[::-1]
+    words = array("Q", data)
+    if sys.byteorder == "big":
+        words.byteswap()
+    return words.tolist()
+
+
+def _fold_planes(adj: Sequence[int], planes: Sequence[int]) -> list[int]:
+    """Fold every item of *planes* (_planes of the subsets) at once: the
+    planes of the vertex sets left, with a cone's set emptied.
 
     Fold lemma: if N(u) is a subset of N(v) for u != v, Ind(G) and Ind(G - v)
-    are homotopy equivalent.  The vertices v whose neighbourhood contains
-    N(u) are the common neighbours of N(u) other than u, the intersection of
-    the neighbourhoods over N(u) looked up by halves; none of them is
-    adjacent to u, so all are removed at once.  A removal shrinks only its
-    neighbours' neighbourhoods, so only those, the union of the removed
-    vertices' neighbourhoods, can play u anew and are checked again.  An
-    isolated vertex u has N(u) empty, contained in every neighbourhood, so
-    folding would leave the point u: the cone case.  The isolated vertices of
-    the input are those outside the union of its neighbourhoods, and folding
-    never removes one, so a cone input is rejected before the first fold.
+    are homotopy equivalent.  Each round first empties every item with an
+    isolated vertex, a cone.  Then, for each ordered pair of distinct,
+    non-adjacent vertices with a common neighbour, u and then v ascending,
+    it clears v from every item that holds u and v and no vertex of
+    N(u) - N(v): in the graph that item induces, N(u) lies in N(v).  A pair
+    with no common neighbour could only fold an item in which u is
+    isolated, which stays a cone, so those pairs are left out.  Rounds
+    repeat until one folds nothing; emptying a cone changes no other item.
+    An item changes by its own bits alone, so it ends as the per-subset
+    loop of the same rounds would leave it: with no isolated vertex and no
+    N(u) inside N(v).
     """
-    adj, k, lo, union_lo, inter_lo, union_hi, inter_hi = tables
-    if mask & ~(union_lo[mask & lo] | union_hi[mask >> k]):
-        return 0
-    todo = mask
-    while todo:
-        low = todo & -todo
-        todo ^= low
-        nbrs = adj[low.bit_length() - 1] & mask
-        if not nbrs:
-            return 0
-        dominated = inter_lo[nbrs & lo] & inter_hi[nbrs >> k] & mask & ~low
-        if dominated:
-            mask ^= dominated
-            todo = (todo | union_lo[dominated & lo] | union_hi[dominated >> k]) & mask
-    return mask
+    nbrs = [list(bits(a)) for a in adj]
+    pairs = []  # (u, v, the vertices of N(u) - N(v))
+    for u, a in enumerate(adj):
+        for v, b in enumerate(adj):
+            if a & b and u != v and not a >> v & 1:
+                pairs.append((u, v, [w for w in nbrs[u] if not b >> w & 1]))
+    planes = list(planes)
+    while True:
+        cone = 0
+        for v, lone in enumerate(planes):
+            for w in nbrs[v]:
+                lone &= ~planes[w]
+            cone |= lone
+        if cone:
+            keep = ~cone
+            planes = [p & keep for p in planes]
+        folded = False
+        for u, v, rest in pairs:
+            hit = planes[u] & planes[v]
+            if hit:
+                for w in rest:
+                    hit &= ~planes[w]
+                if hit:
+                    planes[v] ^= hit
+                    folded = True
+        if not folded:
+            return planes
 
 
 def _sweep_chunk(adj: Sequence[int], field, items: Sequence[tuple[int, int]]) -> dict:
     """Hochster sums over (subset, multiplicity) pairs: the whole sweep when
-    *items* are the orbit representatives, with one memo across all of them."""
-    entries: dict[tuple[int, int], int] = {}
-    for _, cell, value in _contributions(adj, field, items):
-        entries[cell] = entries.get(cell, 0) + value
-    return entries
+    *items* are the orbit representatives, with one memo across all of them.
 
-
-def _contributions(adj: Sequence[int], field, items: Iterable[tuple[int, int]]):
-    """Yield (mask, (i, j), value) for each Betti cell a (subset, multiplicity)
-    pair adds to: j is the subset size, and each nonzero reduced homology
-    dimension of the restriction, times the multiplicity, goes to its cell."""
-    # Homology by relabelled adjacency of the folded graph, and by the folded
-    # vertex set, which many subsets share, so that key is built once per set.
+    The subsets are folded together, _SLICE at a time (_fold_planes), and
+    counted by (core, size, multiplicity); each nonzero reduced homology
+    dimension of a core, times the multiplicity and the count, goes to the
+    cell (j - d - 2, j) of the subset size j.  A cone's core is 0 and adds
+    nothing."""
+    groups: Counter = Counter()
+    for start in range(0, len(items), _SLICE):
+        masks, counts = zip(*items[start:start + _SLICE])
+        cores = _masks(_fold_planes(adj, _planes(masks, len(adj))), len(masks))
+        groups.update(compress(zip(cores, map(int.bit_count, masks), counts), cores))
     memo: dict[tuple, dict[int, int]] = {}
-    by_core: dict[int, dict[int, int]] = {}
-    tables = _fold_tables(adj)
-    for mask, count in items:
-        core = _fold(tables, mask)
-        if not core:
-            continue  # the restriction folds to a cone => acyclic
-        dims = by_core.get(core)
-        if dims is None:
-            dims = by_core[core] = _core_homology(adj, core, field, memo)
-        j = mask.bit_count()
-        for d, dim in dims.items():
-            yield mask, (j - d - 2, j), count * dim
+    dims = {core: _core_homology(adj, core, field, memo) for core, _, _ in groups}
+    entries: dict[tuple[int, int], int] = {}
+    for (core, j, count), times in groups.items():
+        for d, dim in dims[core].items():
+            cell = (j - d - 2, j)
+            entries[cell] = entries.get(cell, 0) + times * count * dim
+    return entries
 
 
 def _relabelled(adj: Sequence[int], core: int, verts: list[int]) -> tuple[int, ...]:
@@ -370,11 +407,44 @@ def induced_betti_tables(
                 raise ValueError(f"vertex {v} out of range")
             w |= 1 << v
         tables.append((w, {}))
-    items = ((m, 1) for m in range(1, 1 << g.n))
-    for mask, cell, value in _contributions(g.adj, field, items):
+    # The subsets are folded _SLICE at a time, and grouped by what they add
+    # to a table: the list of (cell, dimension) of their core's homology at
+    # their size.  Each table counts a group's members inside its W.  Group
+    # 0 adds nothing: the cones and the acyclic cores.
+    memo: dict[tuple, dict[int, int]] = {}
+    dims: dict[int, dict[int, int]] = {0: {}}
+    added_by: dict[tuple, int] = {(): 0}  # what a group adds -> its number
+    for start in range(1, 1 << g.n, _SLICE):
+        masks = range(start, min(start + _SLICE, 1 << g.n))
+        planes = _planes(masks, g.n)
+        cores = _masks(_fold_planes(g.adj, planes), len(masks))
+        for core in set(cores) - dims.keys():
+            dims[core] = _core_homology(g.adj, core, field, memo)
+        keys = list(zip(cores, map(int.bit_count, masks)))
+        number = {}
+        for core, j in set(keys):
+            added = tuple(((j - d - 2, j), dim) for d, dim in dims[core].items())
+            number[core, j] = added_by.setdefault(added, len(added_by))
+        # Bit-planes of the subsets' group numbers; group k is where they read k.
+        numbers = _planes([number[key] for key in keys], len(added_by).bit_length())
+        everything = (1 << len(masks)) - 1
+        groups = []
+        for k, added in enumerate(added_by):
+            members = everything
+            for b, plane in enumerate(numbers):
+                members &= plane if k >> b & 1 else ~plane
+            if k and members:
+                groups.append((members, added))
         for w, entries in tables:
-            if not mask & ~w:
-                entries[cell] = entries.get(cell, 0) + value
+            inside = everything  # the subsets in no plane of a vertex outside W
+            for v, plane in enumerate(planes):
+                if not w >> v & 1:
+                    inside &= ~plane
+            for members, added in groups:
+                count = (members & inside).bit_count()
+                if count:
+                    for cell, dim in added:
+                        entries[cell] = entries.get(cell, 0) + count * dim
     return [BettiTable(w.bit_count(), field, entries) for w, entries in tables]
 
 

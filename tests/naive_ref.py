@@ -4,9 +4,9 @@ Everything here works by direct enumeration and textbook row reduction
 (Fractions over the rationals, modular arithmetic otherwise) with none of
 the pruning, symmetry, bit-packing or memoization the library uses, so the
 two routes to each number share no code beyond the definitions.  The last
-section is the exception: it keeps the per-bit loop that the sweep's fold
-used before it became table lookups, as the reference the table-driven
-version must match exactly.
+section is the exception: it runs the rounds of the sweep's fold on one
+subset at a time, with sets, as the reference the bit-sliced fold, which
+folds every subset of a sweep at once, must match exactly.
 """
 
 from __future__ import annotations
@@ -194,30 +194,38 @@ def is_gap_free(g: Graph) -> bool:
     )
 
 
-# -- per-bit version of the sweep's fold ---------------------------------------
+# -- per-subset version of the sweep's fold ------------------------------------
 
 
-def fold(adj, mask: int) -> int:
-    """Engström's fold with a loop over each neighbour and each removed vertex:
-    the vertex set left after folding the graph induced on *mask*, visiting
-    vertices in the same order as circreg.betti._fold, or 0 for a cone."""
-    todo = mask
-    while todo:
-        low = todo & -todo
-        todo ^= low
-        nbrs = adj[low.bit_length() - 1] & mask
-        if not nbrs:
-            return 0
-        dominated = mask ^ low
-        rest = nbrs
-        while rest and dominated:
-            w = rest & -rest
-            rest ^= w
-            dominated &= adj[w.bit_length() - 1]
-        if dominated:
-            mask ^= dominated
-            touched = 0
-            for v in bits(dominated):
-                touched |= adj[v]
-            todo = (todo | touched) & mask
-    return mask
+def fold_rounds(g: Graph, masks) -> list[int]:
+    """The vertex set each of *masks* folds to, or 0 for a cone, one subset
+    at a time, in the rounds and pair order of the sweep's bit-sliced fold.
+
+    A round returns 0 if the induced graph has an isolated vertex.  Then,
+    for u and v ascending, with u, v distinct, non-adjacent and with a
+    common neighbour in g, it removes v when both are in the set and every
+    neighbour of u in the set is a neighbour of v.  Rounds repeat until one
+    removes nothing."""
+    n = g.n
+    nbrs = [{w for w in range(n) if g.adjacent(v, w)} for v in range(n)]
+    pairs = [
+        (u, v)
+        for u in range(n)
+        for v in range(n)
+        if u != v and v not in nbrs[u] and nbrs[u] & nbrs[v]
+    ]
+    out = []
+    for mask in masks:
+        left = set(bits(mask))
+        while left:
+            if any(not nbrs[v] & left for v in left):
+                left = set()
+                break
+            before = set(left)
+            for u, v in pairs:
+                if u in left and v in left and nbrs[u] & left <= nbrs[v]:
+                    left.discard(v)
+            if left == before:
+                break
+        out.append(sum(1 << v for v in left))
+    return out

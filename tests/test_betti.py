@@ -15,8 +15,9 @@ from circreg.betti import (
     VertexLimitError,
     ZeroIdealError,
     _core_homology,
-    _fold,
-    _fold_tables,
+    _fold_planes,
+    _masks,
+    _planes,
     _rotation_is_automorphism,
     _subset_orbit_reps,
     _sweep_chunk,
@@ -145,6 +146,8 @@ class TestAgainstNaiveSweep:
         # over one subset per call, each call with a fresh memo (no memo).
         graphs = _all_circulants(8)
         graphs += [circulant(9, {1, 3}), circulant(9, {2, 4}), circulant(10, {1, 5}), circulant(10, {2, 3, 5})]
+        # Necklaces of every period dividing 12, so every orbit size occurs.
+        graphs.append(circulant(12, {2, 6}))
         for g in graphs:
             masks = range(1, 1 << g.n)
             entries = hochster_betti_table(g, field).entries
@@ -378,24 +381,43 @@ class TestCrossField:
         assert t.to_csv().splitlines()[0].startswith("i\\j,")
 
 
+def _cores(g, masks):
+    """The bit-sliced fold's core of each of *masks*."""
+    masks = list(masks)
+    return _masks(_fold_planes(g.adj, _planes(masks, g.n)), len(masks))
+
+
 def _assert_fold_matches_bit_loop(g, masks):
-    tables = _fold_tables(g.adj)
-    for m in masks:
-        assert _fold(tables, m) == naive_ref.fold(g.adj, m), (g.n, sorted(g.edges), m)
+    masks = list(masks)
+    assert _cores(g, masks) == naive_ref.fold_rounds(g, masks), (g.n, sorted(g.edges))
+
+
+def _all_graphs(n):
+    pairs = list(combinations(range(n), 2))
+    return [Graph(n, [e for t, e in enumerate(pairs) if k >> t & 1]) for k in range(1 << len(pairs))]
+
+
+def _fold_sample():
+    # n = 1 to 12, so the planes' bytes split at every offset up to 8 and
+    # some vertex sets fill a second byte.
+    rng = random.Random(149)
+    graphs = [Graph(1, []), Graph(2, []), Graph(2, [(0, 1)]), path_graph(3), cycle_graph(7)]
+    graphs += [random_graph(n, rng.uniform(0.1, 0.9), rng) for n in range(1, 13) for _ in range(3)]
+    return graphs
 
 
 class TestFold:
     def test_isolated_vertex_is_a_cone(self):
         c5 = cycle_graph(5)
-        assert _fold(_fold_tables(c5.adj), 0b01011) == 0  # vertex 3 has no neighbour in {0, 1, 3}
+        assert _cores(c5, [0b01011]) == [0]  # vertex 3 has no neighbour in {0, 1, 3}
 
     def test_c5_has_no_domination(self):
         c5 = cycle_graph(5)
-        assert _fold(_fold_tables(c5.adj), c5.full_mask) == c5.full_mask
+        assert _cores(c5, [c5.full_mask]) == [c5.full_mask]
 
     def test_p3_folds_to_an_edge(self):
         p3 = path_graph(3)
-        core = _fold(_fold_tables(p3.adj), p3.full_mask)
+        [core] = _cores(p3, [p3.full_mask])
         edge = p3.induced(bits(core))[0]
         assert edge.n == 2 and edge.edge_count == 1
         for g in (p3, edge):
@@ -403,43 +425,70 @@ class TestFold:
             assert {d: v for d, v in dims.items() if v} == {0: 1}
 
     def test_p4_folds_to_a_cone(self):
+        # 0-1-2-3: N(0) = {1} lies in N(2), so 2 goes and leaves 3 isolated;
+        # the cone shows at the start of the second round.
         p4 = path_graph(4)
-        assert _fold(_fold_tables(p4.adj), p4.full_mask) == 0
+        assert _cores(p4, [p4.full_mask]) == [0]
 
     def test_matches_bit_loop_fold_on_all_five_vertex_graphs(self):
-        pairs = list(combinations(range(5), 2))
-        for k in range(1 << len(pairs)):
-            g = Graph(5, [e for t, e in enumerate(pairs) if k >> t & 1])
+        for g in _all_graphs(5):
             _assert_fold_matches_bit_loop(g, range(1 << 5))
 
     def test_matches_bit_loop_fold_on_seeded_sample(self):
-        # At n = 1 the high half is empty; every odd n splits unequally.
-        rng = random.Random(149)
-        graphs = [Graph(1, []), Graph(2, []), Graph(2, [(0, 1)]), path_graph(3), cycle_graph(7)]
-        graphs += [random_graph(n, rng.uniform(0.1, 0.9), rng) for n in range(1, 13) for _ in range(3)]
-        for g in graphs:
+        for g in _fold_sample():
             _assert_fold_matches_bit_loop(g, range(1 << g.n))
 
     def test_matches_bit_loop_fold_on_bracelets(self):
         g = circulant(18, {1, 9})
         _assert_fold_matches_bit_loop(g, [m for m, _ in _subset_orbit_reps(g)])
 
-    def test_half_tables_are_unions_and_intersections(self):
+    def test_cone_count_matches_the_reference(self):
+        # A subset with an isolated vertex is a cone, whatever the order;
+        # the rest fold to a cone exactly when the per-subset loop does.
+        for g in _all_graphs(5) + _fold_sample():
+            masks = range(1, 1 << g.n)
+            cores = _cores(g, masks)
+            isolated = [m for m in masks if any(not g.adj[v] & m for v in bits(m))]
+            assert all(cores[m - 1] == 0 for m in isolated), (g.n, sorted(g.edges))
+            assert cores.count(0) == naive_ref.fold_rounds(g, masks).count(0), (g.n, sorted(g.edges))
+
+    @pytest.mark.parametrize("field", [2, 3, "Q"])
+    def test_cores_are_folded_and_keep_homology(self, field):
+        # Checks that hold for any fold order: a core lies in its subset,
+        # has no isolated vertex and no N(u) inside N(v), and has the
+        # subset's homology; a cone's subset is acyclic.
+        dims: dict = {}
+
+        def homology(g, w):
+            sub = g.induced(bits(w))[0]
+            key = (sub.n, sub.edges)
+            if key not in dims:
+                found = naive_ref.homology_dims(naive_ref.faces_by_size_within(sub, sub.full_mask), field)
+                dims[key] = {d: v for d, v in found.items() if v}
+            return dims[key]
+
+        for g in _all_graphs(5):
+            masks = range(1, 1 << 5)
+            for mask, core in zip(masks, _cores(g, masks)):
+                where = (sorted(g.edges), mask, core)
+                assert not core & ~mask, where
+                nbhd = {v: g.adj[v] & core for v in bits(core)}
+                assert all(nbhd.values()), where
+                assert not any(u != v and not nbhd[u] & ~nbhd[v] for u in nbhd for v in nbhd), where
+                assert homology(g, mask) == (homology(g, core) if core else {}), where
+
+    def test_planes_round_trip(self):
         rng = random.Random(151)
-        for n in range(0, 12):
-            g = random_graph(n, rng.random(), rng)
-            adj, k, lo, union_lo, inter_lo, union_hi, inter_hi = _fold_tables(g.adj)
-            assert adj == g.adj and k == (n + 1) // 2 and lo == (1 << k) - 1
-            assert len(union_lo) == len(inter_lo) == 1 << k
-            assert len(union_hi) == len(inter_hi) == 1 << (n - k)
-            for offset, union, inter in ((0, union_lo, inter_lo), (k, union_hi, inter_hi)):
-                for s in range(len(union)):
-                    nbhds = [g.adj[offset + v] for v in bits(s)]
-                    want_union, want_inter = 0, g.full_mask
-                    for a in nbhds:
-                        want_union |= a
-                        want_inter &= a
-                    assert union[s] == want_union and inter[s] == want_inter, (n, offset, s)
+        for n in (1, 7, 8, 9, 16, 17, 20):
+            full = (1 << n) - 1
+            for count in (1, 7, 8, 9, 300):
+                masks = [rng.getrandbits(n) for _ in range(count)]
+                masks[:2] = [full, 1 << n - 1][:count]
+                planes = _planes(masks, n)
+                assert len(planes) == n
+                for v, plane in enumerate(planes):
+                    assert plane == sum(1 << t for t, m in enumerate(masks) if m >> v & 1), (n, count, v)
+                assert _masks(planes, count) == masks, (n, count)
 
 
 class TestDecision:
