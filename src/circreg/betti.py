@@ -308,15 +308,16 @@ def _sweep_chunk(adj: Sequence[int], field, items: Sequence[tuple[int, int]]) ->
     The subsets are folded together, _SLICE at a time (_fold_planes), and
     counted by (core, size, multiplicity); each nonzero reduced homology
     dimension of a core, times the multiplicity and the count, goes to the
-    cell (j - d - 2, j) of the subset size j.  A cone's core is 0 and adds
-    nothing."""
+    cell (j - d - 2, j) of the subset size j.  A core recurs across sizes
+    and multiplicities; its homology is looked up once.  A cone's core is 0
+    and adds nothing."""
     groups: Counter = Counter()
     for start in range(0, len(items), _SLICE):
         masks, counts = zip(*items[start:start + _SLICE])
         cores = _masks(_fold_planes(adj, _planes(masks, len(adj))), len(masks))
         groups.update(compress(zip(cores, map(int.bit_count, masks), counts), cores))
     memo: dict[tuple, dict[int, int]] = {}
-    dims = {core: _core_homology(adj, core, field, memo) for core, _, _ in groups}
+    dims = {core: _core_homology(adj, core, field, memo) for core in {c for c, _, _ in groups}}
     entries: dict[tuple[int, int], int] = {}
     for (core, j, count), times in groups.items():
         for d, dim in dims[core].items():
@@ -374,7 +375,7 @@ def hochster_betti_table(
     perfbench/run.py reads it from this signature to time workers=2.
     """
     field = normalize_field(field)
-    _check_vertex_limit(g, vertex_limit, "vertex_limit")
+    _check_vertex_limit(g.n, vertex_limit, "vertex_limit")
     if not g.edges:
         return BettiTable(g.n, field, {})
     entries = _sweep_chunk(g.adj, field, _subset_orbit_reps(g))
@@ -398,7 +399,7 @@ def induced_betti_tables(
     an edgeless one gives the zero-ideal table.
     """
     field = normalize_field(field)
-    _check_vertex_limit(g, DEFAULT_VERTEX_LIMIT)
+    _check_vertex_limit(g.n)
     tables: list[tuple[int, dict]] = []  # (W as a mask, its entries)
     for vs in vertex_sets:
         w = 0
@@ -448,13 +449,19 @@ def induced_betti_tables(
     return [BettiTable(w.bit_count(), field, entries) for w, entries in tables]
 
 
-def _check_vertex_limit(g: Graph, vertex_limit: int, override: str = "") -> None:
-    """Refuse g above the limit; *override* names the setting that raises it,
-    where the caller has one."""
-    if g.n > vertex_limit:
+def _check_vertex_limit(
+    vertices: int,
+    vertex_limit: int = DEFAULT_VERTEX_LIMIT,
+    override: str = "",
+    subject: str = "graph",
+) -> None:
+    """Refuse a sweep of *vertices* vertices above the limit, before it
+    starts.  *subject* names what has them in the message; *override* names
+    the setting that raises the limit, where the caller has one."""
+    if vertices > vertex_limit:
         hint = f" (pass a larger {override} to override)" if override else ""
         raise VertexLimitError(
-            f"graph has {g.n} vertices; the sweep is limited to {vertex_limit}{hint}"
+            f"{subject} has {vertices} vertices; the sweep is limited to {vertex_limit}{hint}"
         )
 
 

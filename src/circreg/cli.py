@@ -144,7 +144,7 @@ def _table_for(g: Graph, field, args) -> BettiTable:
         table = _read_cached(path, g, field)
         if table is not None:
             return table
-    _check_vertex_limit(g, args.limit_vertices, "--limit-vertices")
+    _check_vertex_limit(g.n, args.limit_vertices, "--limit-vertices")
     table = hochster_betti_table(g, field, vertex_limit=args.limit_vertices)
     if cache_dir:
         # A reader sees the old entry or the whole new one, never a partial write.

@@ -16,11 +16,11 @@ import time
 from typing import Optional
 
 from .betti import (
-    DEFAULT_VERTEX_LIMIT,
     BettiTable,
     OUTCOME_REGULARITY,
     PD_BOUND_LOOSE,
     PD_BOUND_TIGHT,
+    _check_vertex_limit,
     decide_regularity,
     hochster_betti_table,
     induced_betti_tables,
@@ -83,29 +83,16 @@ class _TableCache:
         self._store: dict = {}
 
     def table(self, g: Graph) -> BettiTable:
-        key = (g.n, g.edges)
-        t = self._store.get(key)
+        t = self._store.get(g)
         if t is None:
-            t = hochster_betti_table(g, self.field)
-            self._store[key] = t
+            t = self._store[g] = hochster_betti_table(g, self.field)
         return t
 
     def sweep_induced(self, g: Graph, vertex_sets: list) -> None:
         """Store the tables of g and of each g[W] from one sweep of g."""
         sets = [range(g.n), *vertex_sets]
         for vs, t in zip(sets, induced_betti_tables(g, self.field, sets)):
-            sub = g.induced(vs)[0]
-            self._store.setdefault((sub.n, sub.edges), t)
-
-
-def _check_size(suite: str, vertices: int) -> None:
-    """Refuse a suite whose largest graph is over the sweep's vertex limit
-    before it sweeps anything."""
-    if vertices > DEFAULT_VERTEX_LIMIT:
-        raise ValueError(
-            f"{suite} sweep would reach graphs on {vertices} vertices;"
-            f" the sweep is limited to {DEFAULT_VERTEX_LIMIT}"
-        )
+            self._store.setdefault(g.induced(vs)[0], t)
 
 
 def _finish(name: str, params: dict, instances: list[dict]) -> dict:
@@ -123,7 +110,7 @@ def verify_theorem1(nmax: int = 12, field=2) -> dict:
     """Closed form for the near-complete circulants against the oracle."""
     if nmax < 4:
         raise ValueError("theorem1 sweep needs nmax >= 4")
-    _check_size("theorem1", nmax)
+    _check_vertex_limit(nmax, subject="the largest theorem1 graph")
     cache = _TableCache(field)
     instances = []
     for n in range(4, nmax + 1):
@@ -188,7 +175,7 @@ def verify_theorem2(nmax: int = 7, field=2) -> dict:
     component decomposition, plus the Euler-sign decision replication."""
     if nmax < 2:
         raise ValueError("theorem2 sweep needs nmax >= 2")
-    _check_size("theorem2", 2 * nmax)
+    _check_vertex_limit(2 * nmax, subject="the largest theorem2 graph")
     cache = _TableCache(field)
     instances = []
     for n in range(2, nmax + 1):
@@ -224,7 +211,7 @@ def verify_lemmas(tmax: int = 5, nmax: int = 7, field=2) -> dict:
     """Ladder-family base values and bounds, and the cubic reg/pd bounds."""
     if tmax < 2 or nmax < 4:
         raise ValueError("lemmas sweep needs tmax >= 2 and nmax >= 4")
-    _check_size("lemmas", max(2 * tmax + 4, 2 * nmax))
+    _check_vertex_limit(max(2 * tmax + 4, 2 * nmax), subject="the largest lemmas graph")
     cache = _TableCache(field)
     instances = []
 
@@ -346,7 +333,7 @@ def verify_properties(
     """Randomized graphs through the property harness, reproducibly seeded."""
     if count < 1 or nmax < 4:
         raise ValueError("property sweep needs count >= 1 and nmax >= 4")
-    _check_size("property", nmax)
+    _check_vertex_limit(nmax, subject="the largest properties graph")
     rng = random.Random(seed)
     cache = _TableCache(field)
     instances = []

@@ -352,6 +352,21 @@ class TestOrbitReps:
         expected = reduced_homology_dims(independence_complex(sub), field)
         assert dims == {d: v for d, v in expected.items() if v}
 
+    def test_one_homology_lookup_per_distinct_core(self, monkeypatch):
+        # A core recurs at several sizes and multiplicities; the sweep looks
+        # its homology up once.
+        g = circulant(18, {1, 9})
+        cores = naive_ref.fold_rounds(g, [m for m, _ in _subset_orbit_reps(g)])
+        distinct = set(cores) - {0}
+        assert len(distinct) == 121
+        calls = []
+        real = betti_mod._core_homology
+        monkeypatch.setattr(
+            betti_mod, "_core_homology", lambda adj, core, *a: calls.append(core) or real(adj, core, *a)
+        )
+        hochster_betti_table(g, 2)
+        assert sorted(calls) == sorted(distinct)
+
 
 class TestCrossField:
     def test_fields_agree_on_small_suite(self):

@@ -11,7 +11,7 @@ import circreg
 import circreg.cli as cli
 import circreg.verify as verify
 from circreg.cli import main, parse_graph_spec
-from circreg.graphs import circulant, family_b, moebius
+from circreg.graphs import circulant, family_b, moebius, prism
 
 
 def run(capsys, *argv):
@@ -27,6 +27,7 @@ class TestGraphSpecs:
     def test_named_specs(self):
         assert parse_graph_spec("moebius:4") == moebius(4)
         assert parse_graph_spec("B:2") == family_b(2)
+        assert parse_graph_spec("prism:3") == prism(3)
 
     def test_json_file(self, tmp_path):
         path = tmp_path / "g.json"
@@ -56,6 +57,12 @@ class TestCommands:
         code, out, _ = run(capsys, "betti", "circulant:4:")
         assert code == 0
         assert "zero ideal" in out
+        code, out, _ = run(capsys, "reg", "circulant:4:")
+        assert code == 0
+        assert out == "zero ideal (edgeless graph): reg and pd undefined\n"
+        code, out, _ = run(capsys, "reg", "circulant:4:", "--json")
+        assert code == 0
+        assert json.loads(out) == {"pd": None, "reg": None, "zero_ideal": True}
 
     def test_betti_csv_and_json(self, capsys):
         code, out, _ = run(capsys, "betti", "circulant:4:1", "--nonzero")
@@ -65,6 +72,8 @@ class TestCommands:
         code, out, _ = run(capsys, "betti", "circulant:4:1", "--json")
         data = json.loads(out)
         assert data["reg"] == 2 and data["entries"][0] == [0, 2, 4]
+        code, out, _ = run(capsys, "betti", "circulant:4:1", "--json", "--csv")
+        assert code == 2 and "mutually exclusive" in json.loads(out)["error"]
 
     def test_euler_three_ways(self, capsys):
         code, out, _ = run(capsys, "euler", "circulant:10:1,5", "--json", "--field", "2", "--field", "Q")
@@ -87,6 +96,8 @@ class TestCommands:
         assert json.loads(out) == {"coeffs": [1, 4]}
         code, out, _ = run(capsys, "formula", "bounds", "A", "2", "--json")
         assert json.loads(out) == {"pd_bound": 4, "reg_bound": 3}
+        code, out, _ = run(capsys, "formula", "bounds", "moebius", "6", "--json")
+        assert json.loads(out) == {"pd_bound": 8, "reg_bound": 4}
 
     def test_field_option(self, capsys):
         code, out, _ = run(capsys, "reg", "circulant:5:1", "--field", "Q", "--json")
@@ -118,9 +129,11 @@ class TestCommands:
 
 
 class TestExitCodes:
-    def test_bad_spec_exits_2(self, capsys):
+    def test_bad_spec_exits_2(self, capsys, tmp_path):
         code, _, err = run(capsys, "reg", "wheel:9")
         assert code == 2 and "unrecognized" in err
+        code, _, err = run(capsys, "reg", str(tmp_path / "missing.json"))
+        assert code == 2 and "cannot read graph file" in err
 
     def test_vertex_limit_exits_2(self, capsys):
         code, _, err = run(capsys, "reg", "circulant:12:1", "--limit-vertices", "10")

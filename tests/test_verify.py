@@ -1,7 +1,9 @@
 """The properties suite reads its tables off one sweep per graph; every
 seeded table must equal a separate sweep of its induced graph, and the
 default properties, theorem1, theorem2 and lemmas reports must not change.
-An instance whose Euler-characteristic routes disagree fails."""
+An instance whose Euler-characteristic routes disagree fails, and a suite
+whose largest graph is over the sweep's vertex limit refuses before it
+sweeps."""
 
 import hashlib
 import json
@@ -10,7 +12,7 @@ import pytest
 
 import circreg.verify as verify
 from circreg.cli import main
-from circreg.betti import hochster_betti_table, property_vertex_sets
+from circreg.betti import VertexLimitError, hochster_betti_table, property_vertex_sets
 
 # sha256 of the default properties report (count 200, nmax 9, seed 1729,
 # GF(2)) with the wall_ms fields removed, as the suite produced it when it
@@ -87,3 +89,26 @@ def test_euler_route_disagreement_fails_the_instance(monkeypatch, capsys, suite,
     if suite == "theorem1":
         assert main(["verify", "theorem1", "--nmax", "5"]) == 1
         assert "FAIL" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "suite, kwargs, vertices",
+    [
+        ("theorem1", {"nmax": 21}, 21),
+        ("theorem2", {"nmax": 11}, 22),
+        ("lemmas", {"tmax": 9}, 22),
+        ("properties", {"nmax": 21}, 21),
+    ],
+)
+def test_suite_over_the_vertex_limit_raises_before_sweeping(monkeypatch, suite, kwargs, vertices):
+    # The suites refuse through the sweep's own limit check, naming the suite.
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("swept a graph before refusing the suite")
+
+    for name in ("hochster_betti_table", "induced_betti_tables", "chi_report"):
+        monkeypatch.setattr(verify, name, no_sweep)
+    with pytest.raises(VertexLimitError) as exc:
+        verify.run_suite(suite, **kwargs)
+    assert str(exc.value) == (
+        f"the largest {suite} graph has {vertices} vertices; the sweep is limited to 20"
+    )
