@@ -50,7 +50,6 @@ from .betti import (
     betti_across_fields,
 )
 from .formulas import (
-    CubicParams,
     reg_hat_j,
     reg_cubic,
     hoshino_poly,

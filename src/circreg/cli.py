@@ -19,14 +19,7 @@ from math import comb
 
 from .betti import BettiTable, DEFAULT_VERTEX_LIMIT, _check_vertex_limit, hochster_betti_table
 from .complexes import independence_polynomial, independent_set_counts
-from .formulas import (
-    CubicParams,
-    bound_cubic,
-    bound_family,
-    hoshino_poly,
-    reg_cubic,
-    reg_hat_j,
-)
+from .formulas import bound_cubic, bound_family, hoshino_poly, reg_cubic, reg_hat_j
 from .graphs import (
     Graph,
     circulant,
@@ -134,21 +127,20 @@ def _read_cached(path: str, g: Graph, field) -> BettiTable | None:
 
 def _table_for(g: Graph, field, args) -> BettiTable:
     """Betti table with optional directory-backed caching."""
-    cache_dir = None if args.no_cache else args.cache
-    if cache_dir:
+    if args.cache:
         try:
-            os.makedirs(cache_dir, exist_ok=True)
+            os.makedirs(args.cache, exist_ok=True)
         except OSError as exc:
-            raise ValueError(f"cannot use cache directory {cache_dir!r}: {exc}") from exc
-        path = os.path.join(cache_dir, _graph_cache_key(g, field) + ".json")
+            raise ValueError(f"cannot use cache directory {args.cache!r}: {exc}") from exc
+        path = os.path.join(args.cache, _graph_cache_key(g, field) + ".json")
         table = _read_cached(path, g, field)
         if table is not None:
             return table
     _check_vertex_limit(g.n, args.limit_vertices, "--limit-vertices")
     table = hochster_betti_table(g, field, vertex_limit=args.limit_vertices)
-    if cache_dir:
+    if args.cache:
         # A reader sees the old entry or the whole new one, never a partial write.
-        fd, tmp = tempfile.mkstemp(dir=cache_dir, suffix=".tmp")
+        fd, tmp = tempfile.mkstemp(dir=args.cache, suffix=".tmp")
         try:
             with os.fdopen(fd, "w", encoding="utf-8") as fh:
                 json.dump(table.to_json_dict(), fh, sort_keys=True)
@@ -183,8 +175,6 @@ def _cmd_gen(args) -> int:
 def _cmd_betti(args) -> int:
     g = parse_graph_spec(args.graph)
     field = normalize_field(args.field)
-    if args.json and args.csv:
-        return _fail(args, "--json and --csv are mutually exclusive", 2)
     table = _table_for(g, field, args)
     if args.json:
         print(json.dumps(table.to_json_dict(), sort_keys=True))
@@ -246,7 +236,7 @@ def _cmd_formula(args) -> int:
         payload = {"value": reg_hat_j(args.n, args.j)}
         _emit(args, payload, str(payload["value"]))
     elif args.formula == "reg-cubic":
-        payload = {"value": reg_cubic(CubicParams(args.n, args.a))}
+        payload = {"value": reg_cubic(args.n, args.a)}
         _emit(args, payload, str(payload["value"]))
     elif args.formula == "hoshino":
         poly = hoshino_poly(args.n, args.variant)
@@ -305,14 +295,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="refuse sweeps above this vertex count",
     )
     table_flags.add_argument("--cache", help="directory for Betti table cache")
-    table_flags.add_argument("--no-cache", action="store_true", help="bypass the cache")
 
     p = sub.add_parser("gen", help="emit a graph as JSON")
     p.add_argument("graph")
     p.set_defaults(func=_cmd_gen)
 
     p = sub.add_parser("betti", parents=[table_flags], help="full graded Betti table")
-    p.add_argument("--csv", action="store_true", help="CSV table output (the default)")
     p.add_argument("--nonzero", action="store_true", help="emit only nonzero entries")
     p.set_defaults(func=_cmd_betti)
 

@@ -9,13 +9,12 @@ which variant is right, and `corrected` is the oracle-selected default.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .complexes import IntPoly
+from .graphs import davis_domke
 
 __all__ = [
     "reg_hat_j",
-    "CubicParams",
     "reg_cubic",
     "hoshino_poly",
     "hoshino_for",
@@ -38,46 +37,17 @@ def reg_hat_j(n: int, j: int) -> int:
     return 2 if (n == 2 * j or n == 3 * math.gcd(j, n)) else 3
 
 
-@dataclass(frozen=True)
-class CubicParams:
-    """Parameters of a cubic circulant on 2n vertices with distances {a, n}."""
-
-    n: int
-    a: int
-
-    def __post_init__(self):
-        if self.n < 2:
-            raise ValueError("need n >= 2")
-        if not 1 <= self.a < self.n:
-            raise ValueError(f"need 1 <= a < n, got a={self.a}")
-
-    @property
-    def t(self) -> int:
-        return math.gcd(2 * self.n, self.a)
-
-    @property
-    def components_even_length(self) -> bool:
-        return (2 * self.n // self.t) % 2 == 0
-
-
-def reg_cubic(params: CubicParams) -> int:
-    """Regularity of the edge ideal of the cubic circulant with the given
-    parameters, via its decomposition into twisted-ladder or prism copies."""
-    n, a, t = params.n, params.a, params.t
-    if params.components_even_length:
-        m = n // t
-        if m % 2 == 0:
-            k = m // 2
-            return k * t + 1
-        k = (m - 1) // 2
-        if k % 2 == 1:
-            return k * t + 1
-        return (k + 1) * t + 1
-    q = 2 * n // t
-    k = (q - 1) // 2
-    if k % 2 == 0:
-        return k * t // 2 + 1
-    return (k + 1) * t // 2 + 1
+def reg_cubic(n: int, a: int) -> int:
+    """Regularity of the edge ideal of the cubic circulant on 2n vertices with
+    distances {a, n}: one more than the sum of reg(R/I) over the twisted-ladder
+    or prism copies of its Davis-Domke decomposition."""
+    copies, m, step = davis_domke(n, a)
+    k = m // 2
+    if step == 1:
+        per_copy = k if m % 2 == 0 or k % 2 == 1 else k + 1
+    else:
+        per_copy = k if k % 2 == 0 else k + 1
+    return copies * per_copy + 1
 
 
 def hoshino_poly(n: int, variant: str = "corrected") -> IntPoly:

@@ -17,7 +17,6 @@ from typing import Optional
 
 from .betti import (
     BettiTable,
-    OUTCOME_REGULARITY,
     PD_BOUND_LOOSE,
     PD_BOUND_TIGHT,
     _check_vertex_limit,
@@ -34,7 +33,6 @@ from .complexes import (
     transfer_matrix_indpoly,
 )
 from .formulas import (
-    CubicParams,
     HOSHINO_VARIANTS,
     bound_cubic,
     bound_family,
@@ -134,11 +132,22 @@ def verify_theorem1(nmax: int = 12, field=2) -> dict:
     return _finish("theorem1", {"nmax": nmax, "field": field_name(field)}, instances)
 
 
+def _ladder(kind: str, n: int) -> Graph:
+    return moebius(n) if kind == "moebius" else prism(n)
+
+
+def _cubic_ladders(nmax: int) -> list[tuple[str, int]]:
+    """The twisted ladder at each n in 4..nmax, each followed by the prism
+    when n is odd: the ladders whose reg and pd bounds are certified."""
+    kinds = {0: ("moebius",), 1: ("moebius", "prism")}
+    return [(kind, n) for n in range(4, nmax + 1) for kind in kinds[n % 2]]
+
+
 def _decision_record(kind: str, n: int, cache: _TableCache) -> dict:
     """Run the Euler-sign decision on one cubic ladder with its certified
     bounds and compare against the brute-force regularity."""
     t0 = time.perf_counter()
-    g = moebius(n) if kind == "moebius" else prism(n)
+    g = _ladder(kind, n)
     reg_bound, pd_bound = bound_cubic(kind, n)
     nvars = 2 * n
     if pd_bound == nvars - reg_bound:
@@ -150,22 +159,13 @@ def _decision_record(kind: str, n: int, cache: _TableCache) -> dict:
     chi = euler_via_independence(g)
     decision = decide_regularity(nvars, reg_bound, bound_kind, chi)
     brute = cache.table(g).regularity
-    if bound_kind == PD_BOUND_TIGHT:
-        sign_ok = chi != 0
-    else:
-        sign_ok = chi > 0 if reg_bound % 2 == 0 else chi < 0
-    ok = (
-        decision.outcome == OUTCOME_REGULARITY
-        and decision.value == brute
-        and sign_ok
-    )
     return {
         "inputs": {"kind": kind, "n": n, "check": "euler_sign_decision"},
         "expected": reg_bound,
         "oracle": brute,
         "decision": decision.to_json_dict(),
-        "chi_sign_ok": sign_ok,
-        "pass": ok,
+        "chi_sign_ok": decision.is_regularity,
+        "pass": decision.is_regularity and decision.value == brute,
         "wall_ms": round((time.perf_counter() - t0) * 1000, 3),
     }
 
@@ -182,7 +182,7 @@ def verify_theorem2(nmax: int = 7, field=2) -> dict:
         for a in range(1, n):
             t0 = time.perf_counter()
             g = circulant(2 * n, {a, n})
-            expected = reg_cubic(CubicParams(n, a))
+            expected = reg_cubic(n, a)
             direct = cache.table(g).regularity
             copies, m, step = davis_domke(n, a)
             base = circulant(2 * m, {step, m})
@@ -200,10 +200,7 @@ def verify_theorem2(nmax: int = 7, field=2) -> dict:
                     "wall_ms": round((time.perf_counter() - t0) * 1000, 3),
                 }
             )
-    for n in range(4, nmax + 1):
-        instances.append(_decision_record("moebius", n, cache))
-        if n % 2 == 1:
-            instances.append(_decision_record("prism", n, cache))
+    instances += [_decision_record(kind, n, cache) for kind, n in _cubic_ladders(nmax)]
     return _finish("theorem2", {"nmax": nmax, "field": field_name(field)}, instances)
 
 
@@ -263,25 +260,23 @@ def verify_lemmas(tmax: int = 5, nmax: int = 7, field=2) -> dict:
             record["wall_ms"] = round((time.perf_counter() - t0) * 1000, 3)
             instances.append(record)
 
-    for n in range(4, nmax + 1):
-        kinds = ["moebius"] + (["prism"] if n % 2 == 1 else [])
-        for kind in kinds:
-            t0 = time.perf_counter()
-            g = moebius(n) if kind == "moebius" else prism(n)
-            table = cache.table(g)
-            reg_b, pd_b = bound_cubic(kind, n)
-            reg, pd = table.regularity, table.projective_dimension
-            chi = chi_report(g, (field,))
-            instances.append(
-                {
-                    "inputs": {"kind": kind, "n": n, "check": "bounds"},
-                    "expected": {"reg_bound": reg_b, "pd_bound": pd_b},
-                    "oracle": {"reg": reg, "pd": pd},
-                    "chi": chi,
-                    "pass": reg <= reg_b and pd <= pd_b and chi["agree"],
-                    "wall_ms": round((time.perf_counter() - t0) * 1000, 3),
-                }
-            )
+    for kind, n in _cubic_ladders(nmax):
+        t0 = time.perf_counter()
+        g = _ladder(kind, n)
+        table = cache.table(g)
+        reg_b, pd_b = bound_cubic(kind, n)
+        reg, pd = table.regularity, table.projective_dimension
+        chi = chi_report(g, (field,))
+        instances.append(
+            {
+                "inputs": {"kind": kind, "n": n, "check": "bounds"},
+                "expected": {"reg_bound": reg_b, "pd_bound": pd_b},
+                "oracle": {"reg": reg, "pd": pd},
+                "chi": chi,
+                "pass": reg <= reg_b and pd <= pd_b and chi["agree"],
+                "wall_ms": round((time.perf_counter() - t0) * 1000, 3),
+            }
+        )
     return _finish("lemmas", {"tmax": tmax, "nmax": nmax, "field": field_name(field)}, instances)
 
 
@@ -296,7 +291,7 @@ def verify_hoshino(nmax: int = 8) -> dict:
     transfer_ok = {}
     instances = []
     for kind, n in cases:
-        g = moebius(n) if kind == "moebius" else prism(n)
+        g = _ladder(kind, n)
         brute[(kind, n)] = independence_polynomial(g)
         transfer_ok[(kind, n)] = transfer_matrix_indpoly(kind, n) == brute[(kind, n)]
 

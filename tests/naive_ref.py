@@ -4,13 +4,16 @@ Everything here works by direct enumeration and textbook row reduction
 (Fractions over the rationals, modular arithmetic otherwise) with none of
 the pruning, symmetry, bit-packing or memoization the library uses, so the
 two routes to each number share no code beyond the definitions.  The last
-section is the exception: it runs the rounds of the sweep's fold on one
-subset at a time, with sets, as the reference the bit-sliced fold, which
-folds every subset of a sweep at once, must match exactly.
+two sections are the exceptions.  One runs the rounds of the sweep's fold on
+one subset at a time, with sets, as the reference the bit-sliced fold, which
+folds every subset of a sweep at once, must match exactly.  The other states
+the cubic circulants' regularity by cases on t = gcd(2n, a), as a reference
+for the library's form, which reads the Davis-Domke decomposition.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from circreg._bitops import bits
@@ -229,3 +232,20 @@ def fold_rounds(g: Graph, masks) -> list[int]:
                 break
         out.append(sum(1 << v for v in left))
     return out
+
+
+# -- cubic circulant regularity by cases on gcd(2n, a) -------------------------
+
+
+def reg_cubic_by_gcd(n: int, a: int) -> int:
+    """reg of the edge ideal of the circulant on 2n vertices with distances
+    {a, n}, 1 <= a < n, from t = gcd(2n, a) and the parity of 2n/t."""
+    t = math.gcd(2 * n, a)
+    if (2 * n // t) % 2 == 0:
+        m = n // t
+        if m % 2 == 0:
+            return m // 2 * t + 1
+        k = (m - 1) // 2
+        return (k if k % 2 == 1 else k + 1) * t + 1
+    k = (2 * n // t - 1) // 2
+    return (k if k % 2 == 0 else k + 1) * t // 2 + 1

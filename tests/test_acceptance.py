@@ -22,7 +22,6 @@ from circreg.complexes import (
     transfer_matrix_indpoly,
 )
 from circreg.formulas import (
-    CubicParams,
     bound_cubic,
     bound_family,
     hoshino_for,
@@ -107,7 +106,7 @@ def test_criterion_2_cubic_regularity_sweep(theorem2_pool):
     elapsed, pool = theorem2_pool
     checked = 0
     for (n, a), (g, table, copies, base_table) in pool.items():
-        expected = reg_cubic(CubicParams(n, a))
+        expected = reg_cubic(n, a)
         direct = table.regularity
         via_components = copies * (base_table.regularity - 1) + 1
         assert expected == direct == via_components, (n, a)

@@ -72,8 +72,11 @@ class TestCommands:
         code, out, _ = run(capsys, "betti", "circulant:4:1", "--json")
         data = json.loads(out)
         assert data["reg"] == 2 and data["entries"][0] == [0, 2, 4]
-        code, out, _ = run(capsys, "betti", "circulant:4:1", "--json", "--csv")
-        assert code == 2 and "mutually exclusive" in json.loads(out)["error"]
+        # CSV is the default; there is no --csv flag to select it.
+        with pytest.raises(SystemExit) as exc:
+            main(["betti", "circulant:4:1", "--json", "--csv"])
+        assert exc.value.code == 2
+        assert "--csv" in capsys.readouterr().err
 
     def test_euler_three_ways(self, capsys):
         code, out, _ = run(capsys, "euler", "circulant:10:1,5", "--json", "--field", "2", "--field", "Q")
@@ -234,8 +237,7 @@ class TestCacheAndDeterminism:
         cache = str(tmp_path / "cache")
         _, cold, _ = run(capsys, "betti", "moebius:4", "--json", "--cache", cache)
         _, warm, _ = run(capsys, "betti", "moebius:4", "--json", "--cache", cache)
-        _, nocache, _ = run(capsys, "betti", "moebius:4", "--json", "--cache", cache, "--no-cache")
-        assert cold == warm == nocache
+        assert cold == warm
         assert list((tmp_path / "cache").iterdir())
 
     def test_truncated_cache_entry_is_recomputed(self, capsys, tmp_path):

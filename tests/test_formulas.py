@@ -1,13 +1,11 @@
 """Closed forms and bounds against the brute-force invariants."""
 
-import math
-
 import pytest
 
+import naive_ref
 from circreg.betti import hochster_betti_table
 from circreg.complexes import IntPoly, independence_polynomial
 from circreg.formulas import (
-    CubicParams,
     bound_cubic,
     bound_family,
     hoshino_for,
@@ -39,26 +37,29 @@ class TestRegHatJ:
 class TestRegCubic:
     @pytest.mark.parametrize("n,a,expected", [(2, 1, 2), (5, 1, 4), (3, 2, 3), (3, 1, 2), (4, 2, 3)])
     def test_values(self, n, a, expected):
-        assert reg_cubic(CubicParams(n, a)) == expected
+        assert reg_cubic(n, a) == expected
 
     def test_params_validation(self):
-        with pytest.raises(ValueError):
-            CubicParams(1, 1)
-        with pytest.raises(ValueError):
-            CubicParams(4, 0)
-        with pytest.raises(ValueError):
-            CubicParams(4, 4)
+        # The checks and their messages are davis_domke's.
+        with pytest.raises(ValueError, match=r"^need n >= 2$"):
+            reg_cubic(1, 1)
+        with pytest.raises(ValueError, match=r"^need 1 <= a < n, got a=0$"):
+            reg_cubic(4, 0)
+        with pytest.raises(ValueError, match=r"^need 1 <= a < n, got a=4$"):
+            reg_cubic(4, 4)
 
-    def test_params_derived(self):
-        p = CubicParams(6, 4)
-        assert p.t == math.gcd(12, 4) == 4
-        assert not p.components_even_length
+    def test_matches_gcd_cases(self):
+        # Far past the sweep's reach (n <= 10): every branch of both the
+        # twisted-ladder and the prism copy, at many copy counts.
+        for n in range(2, 201):
+            for a in range(1, n):
+                assert reg_cubic(n, a) == naive_ref.reg_cubic_by_gcd(n, a), (n, a)
 
     def test_matches_brute_force_small(self):
         for n in range(2, 6):
             for a in range(1, n):
                 g = circulant(2 * n, {a, n})
-                assert reg_cubic(CubicParams(n, a)) == hochster_betti_table(g).regularity, (n, a)
+                assert reg_cubic(n, a) == hochster_betti_table(g).regularity, (n, a)
 
 
 class TestHoshino:
