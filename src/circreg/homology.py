@@ -5,6 +5,19 @@ single point has no reduced homology and the empty-face complex has one
 dimension of homology in degree -1.  Ranks are computed by exact Gaussian
 elimination: bit-packed XOR elimination over GF(2), modular elimination for
 odd primes, and an integer-preserving elimination for the rationals.
+
+Over Q most complexes need no integer elimination.  By the universal
+coefficient theorem (Hatcher, *Algebraic Topology*, 2002, section 3.A),
+dim H_d(K; GF(2)) = rank H_d(K; Z) + t_d + t_(d-1), where t_d counts the
+2-primary cyclic summands of H_d(K; Z).  So the GF(2) dims exceed the Q dims
+by nonnegative amounts that vanish wherever the GF(2) dim does, and since
+both alternating sums equal the reduced Euler characteristic, the excesses
+have alternating sum zero.  When the nonzero GF(2) dims all lie in degrees
+of one parity, the excesses all carry one sign in that sum, so each is
+zero: the GF(2) dims are the Q dims.  Otherwise the boundaries are ranked
+over the integers.  2-torsion raises the GF(2) dims in two adjacent degrees,
+so a complex with 2-torsion always takes that fallback.  The rule is for Q
+alone: a Q result equal to the GF(2) one says nothing about odd torsion.
 """
 
 from __future__ import annotations
@@ -181,9 +194,16 @@ def _boundary_rank(smaller: list[int], larger: list[int], field) -> int:
 def homology_dims_from_sizes(sizes: list[list[int]], field) -> dict[int, int]:
     """Reduced homology dimensions given faces grouped by cardinality.
 
-    Returns {degree: dim} for degrees -1..dim.
+    Returns {degree: dim} for degrees -1..dim.  Over Q the GF(2) dims are
+    taken first; when their nonzero degrees share one parity they are the Q
+    dims (universal coefficients, see the module docstring), and otherwise
+    the boundaries are ranked over the integers.
     """
     field = normalize_field(field)
+    if field == RATIONALS:
+        dims = homology_dims_from_sizes(sizes, 2)
+        if len({d % 2 for d, dim in dims.items() if dim}) < 2:
+            return dims
     top = len(sizes) - 1
     # ranks[k]: rank of the boundary from size-k faces to size-(k-1) faces,
     # zero for k = 0 and k = top + 1; k = 1 is the all-ones row onto the

@@ -386,6 +386,18 @@ class TestCrossField:
             dims = reduced_homology_dims(cx, field)
             assert {d: v for d, v in dims.items() if v} == expected, field
 
+    def test_flag_rp2_over_q_ranks_over_the_integers(self, rank_int_calls):
+        # RP^2's torsion cores have GF(2) dims in two adjacent degrees, so
+        # their Q dims come from the integer elimination.
+        t = hochster_betti_table(Graph(12, RP2_EDGES), "Q")
+        assert rank_int_calls
+        assert (t.regularity, t.projective_dimension) == (3, 8)
+
+    def test_circulant_over_q_ranks_nothing_over_the_integers(self, rank_int_calls):
+        t = hochster_betti_table(circulant(18, {1, 9}), "Q")
+        assert rank_int_calls == []
+        assert t.entries == hochster_betti_table(circulant(18, {1, 9}), 2).entries
+
     def test_json_round_trip(self):
         t = hochster_betti_table(cycle_graph(5))
         assert BettiTable.from_json_dict(t.to_json_dict()) == t

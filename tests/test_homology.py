@@ -6,11 +6,13 @@ import random
 import pytest
 
 import naive_ref
+from circreg.betti import hochster_betti_table
 from circreg.complexes import SimplicialComplex, independence_complex
 from circreg.graphs import complete_graph, cycle_graph, random_graph
 from circreg.homology import (
     boundary_matrix,
     euler_from_homology,
+    homology_dims_from_sizes,
     normalize_field,
     reduced_homology_dims,
 )
@@ -141,12 +143,43 @@ class TestClassicalCycleComplexes:
                 assert reduced_homology_dims(cx, f) == expected, (n, f)
 
 
+def _naive_rank_sample():
+    rng = random.Random(79)
+    return [random_graph(rng.randint(2, 8), rng.random(), rng) for _ in range(12)]
+
+
 class TestAgainstNaiveRank:
     def test_dims_match_textbook_elimination(self):
-        rng = random.Random(79)
-        for _ in range(12):
-            g = random_graph(rng.randint(2, 8), rng.random(), rng)
+        for g in _naive_rank_sample():
             sizes = naive_ref.faces_by_size_within(g, g.full_mask)
             cx = independence_complex(g)
             for f in FIELDS:
                 assert reduced_homology_dims(cx, f) == naive_ref.homology_dims(sizes, f)
+
+
+class TestRationalsByParity:
+    """Over Q the GF(2) dims are returned when their nonzero degrees share one
+    parity; otherwise the boundaries are ranked over the integers.  The
+    reference ranks every boundary with Fractions and applies no rule."""
+
+    def test_dims_match_fraction_rank_on_every_induced_subgraph(self, rank_int_calls):
+        rng = random.Random(163)
+        for n in range(4, 10):
+            for _ in range(3):
+                g = random_graph(n, rng.uniform(0.2, 0.8), rng)
+                for w in range(1, 1 << n):
+                    sizes = naive_ref.faces_by_size_within(g, w)
+                    assert homology_dims_from_sizes(sizes, "Q") == naive_ref.homology_dims(sizes, "Q"), (g.edges, w)
+        assert rank_int_calls, "the sample must reach the integer fallback"
+
+    def test_tables_match_the_naive_sweep(self, rank_int_calls):
+        for g in _naive_rank_sample():
+            if g.n <= 7:
+                assert hochster_betti_table(g, "Q").entries == naive_ref.betti_entries(g, "Q"), g.edges
+        assert rank_int_calls, "the sample must reach the integer fallback"
+
+    def test_circle_plus_point_falls_back(self, rank_int_calls):
+        # GF(2) dims in degrees 0 and 1: the parity rule cannot decide.
+        cx = SimplicialComplex.from_facets(4, [[0, 1], [1, 2], [0, 2], [3]])
+        assert reduced_homology_dims(cx, "Q") == {-1: 0, 0: 1, 1: 1}
+        assert rank_int_calls
