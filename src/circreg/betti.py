@@ -13,7 +13,9 @@ are repeated until none applies.  Homotopy equivalence keeps torsion, so
 the reduction is exact over every field.  An isolated vertex is the
 degenerate fold: the restriction is a cone and the subset is skipped.
 Otherwise the homology is computed once per folded graph up to
-relabelling, while the entry still uses the size j of the original subset.
+relabelling, while the entry still uses the size j of the original subset:
+once per table, or once per suite when the caller passes the tables one
+memo (the relabelled graph does not depend on the graph it was folded from).
 The fold is bit-sliced (E. Biham, "A fast new DES implementation in
 software", FSE 1997): the subsets of a sweep are transposed into one
 bit-plane per vertex, an integer whose bit t says that subset t holds the
@@ -301,9 +303,15 @@ def _fold_planes(adj: Sequence[int], planes: Sequence[int]) -> list[int]:
             return planes
 
 
-def _sweep_chunk(adj: Sequence[int], field, items: Sequence[tuple[int, int]]) -> dict:
+def _sweep_chunk(
+    adj: Sequence[int],
+    field,
+    items: Sequence[tuple[int, int]],
+    memo: Optional[dict] = None,
+) -> dict:
     """Hochster sums over (subset, multiplicity) pairs: the whole sweep when
-    *items* are the orbit representatives, with one memo across all of them.
+    *items* are the orbit representatives, with one memo across all of them
+    (*memo*'s entry for the field, or a fresh one).
 
     The subsets are folded together, _SLICE at a time (_fold_planes), and
     counted by (core, size, multiplicity); each nonzero reduced homology
@@ -316,7 +324,7 @@ def _sweep_chunk(adj: Sequence[int], field, items: Sequence[tuple[int, int]]) ->
         masks, counts = zip(*items[start:start + _SLICE])
         cores = _masks(_fold_planes(adj, _planes(masks, len(adj))), len(masks))
         groups.update(compress(zip(cores, map(int.bit_count, masks), counts), cores))
-    memo: dict[tuple, dict[int, int]] = {}
+    memo = {} if memo is None else memo.setdefault(field, {})
     dims = {core: _core_homology(adj, core, field, memo) for core in {c for c, _, _ in groups}}
     entries: dict[tuple[int, int], int] = {}
     for (core, j, count), times in groups.items():
@@ -366,6 +374,8 @@ def hochster_betti_table(
     field=2,
     workers: int = 1,
     vertex_limit: int = DEFAULT_VERTEX_LIMIT,
+    *,
+    memo: Optional[dict] = None,
 ) -> BettiTable:
     """Full graded Betti table of the edge ideal of g over the given field.
 
@@ -373,12 +383,18 @@ def hochster_betti_table(
     exponential in the vertex count and refuses graphs above *vertex_limit*.
     It is serial and ignores *workers*.  The parameter stays because
     perfbench/run.py reads it from this signature to time workers=2.
+
+    *memo*, when given, is a dict that this sweep reads and fills with the
+    homology of its folded cores, under the key *memo*[field], so that one
+    dict can serve sweeps over several fields and several graphs.  The
+    caller owns it and decides how long it lives (verify keeps one per
+    suite call); without it the sweep starts a fresh memo of its own.
     """
     field = normalize_field(field)
     _check_vertex_limit(g.n, vertex_limit, "vertex_limit")
     if not g.edges:
         return BettiTable(g.n, field, {})
-    entries = _sweep_chunk(g.adj, field, _subset_orbit_reps(g))
+    entries = _sweep_chunk(g.adj, field, _subset_orbit_reps(g), memo)
     return BettiTable(g.n, field, entries)
 
 
@@ -386,6 +402,8 @@ def induced_betti_tables(
     g: Graph,
     field,
     vertex_sets: Iterable[Iterable[int]],
+    *,
+    memo: Optional[dict] = None,
 ) -> list[BettiTable]:
     """Betti tables of the induced subgraphs g[W], in the order of
     *vertex_sets*, from one sweep of g.
@@ -396,7 +414,8 @@ def induced_betti_tables(
     of W alone.  So every nonempty subset of g is swept once, with no orbit
     reduction because the sets need not be invariant, and each table sums
     the subsets inside its W.  Each g[W] is relabelled as by Graph.induced;
-    an edgeless one gives the zero-ideal table.
+    an edgeless one gives the zero-ideal table.  *memo* is the homology memo
+    of hochster_betti_table, keyed by field and owned by the caller alike.
     """
     field = normalize_field(field)
     _check_vertex_limit(g.n)
@@ -412,7 +431,7 @@ def induced_betti_tables(
     # to a table: the list of (cell, dimension) of their core's homology at
     # their size.  Each table counts a group's members inside its W.  Group
     # 0 adds nothing: the cones and the acyclic cores.
-    memo: dict[tuple, dict[int, int]] = {}
+    memo = {} if memo is None else memo.setdefault(field, {})
     dims: dict[int, dict[int, int]] = {0: {}}
     added_by: dict[tuple, int] = {(): 0}  # what a group adds -> its number
     for start in range(1, 1 << g.n, _SLICE):

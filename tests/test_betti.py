@@ -393,6 +393,26 @@ class TestCrossField:
         assert rank_int_calls
         assert (t.regularity, t.projective_dimension) == (3, 8)
 
+    @pytest.mark.parametrize("sweep", ["hochster_betti_table", "induced_betti_tables"])
+    def test_one_memo_keeps_the_fields_apart(self, sweep):
+        # RP^2's cores have homology over GF(2) that they lack over Q, so a
+        # memo that handed GF(2) dims to the Q sweep would give GF(2)'s table.
+        g = Graph(12, RP2_EDGES)
+
+        def table(field, memo=None):
+            kwargs = {} if memo is None else {"memo": memo}
+            if sweep == "hochster_betti_table":
+                return hochster_betti_table(g, field, **kwargs)
+            [t] = induced_betti_tables(g, field, [range(g.n)], **kwargs)
+            return t
+
+        memo: dict = {}
+        gf2, q = table(2, memo), table("Q", memo)
+        assert (gf2.regularity, gf2.projective_dimension) == (4, 9)
+        assert (q.regularity, q.projective_dimension) == (3, 8)
+        assert q == table("Q")
+        assert gf2 == table(2)
+
     def test_circulant_over_q_ranks_nothing_over_the_integers(self, rank_int_calls):
         t = hochster_betti_table(circulant(18, {1, 9}), "Q")
         assert rank_int_calls == []

@@ -1,23 +1,34 @@
 """The properties suite reads its tables off one sweep per graph; every
 seeded table must equal a separate sweep of its induced graph, and the
 default properties, theorem1, theorem2 and lemmas reports must not change.
-An instance whose Euler-characteristic routes disagree fails, and a suite
-whose largest graph is over the sweep's vertex limit refuses before it
-sweeps."""
+A suite's sweeps share one homology memo that lives as long as the suite
+call, and sharing it changes no table.  An instance whose
+Euler-characteristic routes disagree fails, and a suite whose largest graph
+is over the sweep's vertex limit refuses before it sweeps."""
 
 import hashlib
 import json
+import random
 
 import pytest
 
+import circreg.betti as betti_mod
 import circreg.verify as verify
 from circreg.cli import main
 from circreg.betti import VertexLimitError, hochster_betti_table, property_vertex_sets
+from circreg.graphs import Graph, random_graph
 
 # sha256 of the default properties report (count 200, nmax 9, seed 1729,
 # GF(2)) with the wall_ms fields removed, as the suite produced it when it
 # swept every induced subgraph separately.
 DEFAULT_PROPERTIES_SHA256 = "97f1efc30fbc5d4f543fef5e3747999759f9e36517f1c635e17f7e879b5915df"
+
+# The same digest over Q and over GF(3), taken while every sweep of the
+# suite still started a homology memo of its own.
+PROPERTIES_SHA256_BY_FIELD = {
+    "Q": "1c8b527d7dc9e4d401ad96087dc317cf0626f02ee4839c33bb4db4945b08a3fd",
+    3: "d798ac97f244f9cf9e1c8f2a89c2d61f71b688015667e4fc1394395522cfa1d1",
+}
 
 # sha256 of the default theorem1, theorem2 and lemmas reports over GF(2) and
 # over Q, with the wall_ms fields removed.
@@ -35,9 +46,9 @@ def test_properties_seeded_tables_equal_separate_sweeps(monkeypatch):
     seeded = []
     induced_betti_tables = verify.induced_betti_tables
 
-    def recording(g, field, vertex_sets):
+    def recording(g, field, vertex_sets, **kwargs):
         vertex_sets = [list(vs) for vs in vertex_sets]
-        tables = induced_betti_tables(g, field, vertex_sets)
+        tables = induced_betti_tables(g, field, vertex_sets, **kwargs)
         seeded.append((g, field, vertex_sets, tables))
         return tables
 
@@ -61,14 +72,103 @@ def test_properties_seeded_tables_equal_separate_sweeps(monkeypatch):
     assert digest == DEFAULT_PROPERTIES_SHA256
 
 
+def _digest(report: dict) -> str:
+    for rec in report["instances"]:
+        rec.pop("wall_ms")
+    return hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest()
+
+
 @pytest.mark.parametrize("suite, field", list(DEFAULT_REPORT_SHA256))
 def test_default_report_digest(suite, field):
     report = verify.run_suite(suite, field=field)
     assert report["ok"]
-    for rec in report["instances"]:
-        rec.pop("wall_ms")
-    digest = hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest()
-    assert digest == DEFAULT_REPORT_SHA256[suite, field]
+    assert _digest(report) == DEFAULT_REPORT_SHA256[suite, field]
+
+
+@pytest.mark.parametrize("field", list(PROPERTIES_SHA256_BY_FIELD))
+def test_default_properties_digest_by_field(field):
+    report = verify.run_suite("properties", field=field)
+    assert report["ok"]
+    assert _digest(report) == PROPERTIES_SHA256_BY_FIELD[field]
+
+
+@pytest.fixture
+def homology_calls(monkeypatch) -> list:
+    """One entry per homology computation of a folded core."""
+    calls: list = []
+    real = betti_mod.homology_dims_from_sizes
+    monkeypatch.setattr(
+        betti_mod, "homology_dims_from_sizes", lambda *a: calls.append(a) or real(*a)
+    )
+    return calls
+
+
+@pytest.mark.parametrize("entry", ["table", "sweep_induced"])
+def test_relabelled_copy_reuses_the_suite_memo(homology_calls, entry):
+    # v -> v+1 (mod 9) moves the isolated vertex 8 to 0 and keeps the order
+    # of the others, so each core of the copy is read in the same order as
+    # the core it copies, and the memo holds its homology under the same key.
+    g = Graph(9, random_graph(8, 0.5, random.Random(5)).edges)
+    copy = Graph(9, [(u + 1, v + 1) for u, v in g.edges])
+    assert copy != g
+
+    def sweep(oracle, h):
+        if entry == "table":
+            return oracle.table(h)
+        oracle.sweep_induced(h, [])
+        return oracle.table(h)
+
+    oracle = verify._Oracle(2)
+    table = sweep(oracle, g)
+    assert homology_calls
+    homology_calls.clear()
+    assert sweep(oracle, copy) == table
+    assert homology_calls == []
+    # A fresh oracle computes them again.
+    assert sweep(verify._Oracle(2), copy) == table
+    assert homology_calls
+
+
+def test_memo_lives_one_suite_call(homology_calls):
+    verify.run_suite("theorem2")
+    first = len(homology_calls)
+    homology_calls.clear()
+    verify.run_suite("theorem2")
+    assert first and len(homology_calls) == first
+
+
+@pytest.mark.parametrize("field", [2, 3, "Q"])
+def test_shared_memo_changes_no_table(monkeypatch, field):
+    # Every table the theorem1, theorem2 and lemmas suites and the first 40
+    # properties graphs sweep, against a sweep with a fresh memo.
+    swept = []  # (memo, graph of each table, tables)
+    table, induced = verify.hochster_betti_table, verify.induced_betti_tables
+
+    def recording_table(g, field, **kwargs):
+        t = table(g, field, **kwargs)
+        swept.append((kwargs["memo"], [g], [t]))
+        return t
+
+    def recording_induced(g, field, vertex_sets, **kwargs):
+        tables = induced(g, field, vertex_sets, **kwargs)
+        swept.append((kwargs["memo"], [g.induced(vs)[0] for vs in vertex_sets], tables))
+        return tables
+
+    monkeypatch.setattr(verify, "hochster_betti_table", recording_table)
+    monkeypatch.setattr(verify, "induced_betti_tables", recording_induced)
+    memos = []
+    for suite, kwargs in [("theorem1", {}), ("theorem2", {}), ("lemmas", {}), ("properties", {"count": 40})]:
+        start = len(swept)
+        assert verify.run_suite(suite, field=field, **kwargs)["ok"]
+        # One memo per suite call, handed to each of its sweeps.
+        memos.append({id(memo) for memo, _, _ in swept[start:]})
+        assert len(memos[-1]) == 1, suite
+    monkeypatch.undo()
+
+    assert len(set.union(*memos)) == 4
+    for _memo, graphs, tables in swept:
+        for g, t in zip(graphs, tables):
+            assert t == hochster_betti_table(g, field), (g.n, sorted(g.edges))
 
 
 @pytest.mark.parametrize(
