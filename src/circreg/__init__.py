@@ -14,12 +14,9 @@ from .graphs import (
     family_a,
     family_b,
     family_d,
-    cycle_decomposition,
     davis_domke,
-    davis_domke_graph,
     cochordal_split_c4j,
     is_cochordal_cover,
-    are_isomorphic,
     random_graph,
 )
 from .complexes import (
@@ -28,8 +25,6 @@ from .complexes import (
     independence_complex,
     independence_polynomial,
     euler_via_independence,
-    stanley_reisner_nonfaces,
-    complex_from_squarefree_generators,
     transfer_matrix_indpoly,
 )
 from .homology import (
@@ -37,7 +32,6 @@ from .homology import (
     normalize_field,
     reduced_homology_dims,
     euler_from_homology,
-    boundary_matrix,
 )
 from .betti import (
     BettiTable,

@@ -1,6 +1,5 @@
-"""Independence complexes, f-vectors, independence polynomials, the
-square-free generator correspondence, and a transfer-matrix evaluator for
-the cubic-ladder independence polynomials.
+"""Independence complexes, f-vectors, independence polynomials, and a
+transfer-matrix evaluator for the cubic-ladder independence polynomials.
 
 A complex stores its facets as vertex bitmasks.  Two degenerate states are
 kept distinct: the void complex (no faces at all, facets == ()) and the
@@ -12,7 +11,6 @@ independent_set_counts counts independent sets without listing them.
 
 from __future__ import annotations
 
-from itertools import combinations
 from typing import Iterable
 
 from ._bitops import bits, mask_of
@@ -24,8 +22,6 @@ __all__ = [
     "independence_complex",
     "independence_polynomial",
     "euler_via_independence",
-    "stanley_reisner_nonfaces",
-    "complex_from_squarefree_generators",
     "transfer_matrix_indpoly",
 ]
 
@@ -164,10 +160,6 @@ class SimplicialComplex:
             return None
         return max(m.bit_count() for m in self.facets) - 1
 
-    def has_face(self, face) -> bool:
-        m = face if isinstance(face, int) else mask_of(face)
-        return any(m & ~f == 0 for f in self.facets)
-
     def faces_by_size(self) -> list[list[int]]:
         """All faces as masks, grouped by cardinality (index 0 = empty face),
         each group ascending.  A face's state is the facets, by index, that
@@ -194,15 +186,6 @@ class SimplicialComplex:
         fv = self.f_vector()
         return sum(f if k % 2 else -f for k, f in enumerate(fv))
 
-    def restriction(self, vertices) -> "SimplicialComplex":
-        """Faces contained in the given vertex set, same ambient labels."""
-        w = vertices if isinstance(vertices, int) else mask_of(vertices)
-        if w >> self.n:
-            raise ValueError("restriction set mentions a vertex outside 0..n-1")
-        if self.is_void:
-            return SimplicialComplex.void(self.n)
-        return SimplicialComplex(self.n, (f & w for f in self.facets))
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, SimplicialComplex)
@@ -217,13 +200,6 @@ class SimplicialComplex:
         if self.is_void:
             return f"SimplicialComplex(n={self.n}, void)"
         return f"SimplicialComplex(n={self.n}, facets={len(self.facets)}, dim={self.dim})"
-
-    def to_json_dict(self) -> dict:
-        return {"n": self.n, "facets": sorted(sorted(bits(f)) for f in self.facets)}
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "SimplicialComplex":
-        return cls.from_facets(d["n"], d["facets"])
 
 
 # -- face listing -------------------------------------------------------------
@@ -301,66 +277,6 @@ def euler_via_independence(g: Graph) -> int:
     """Reduced Euler characteristic of the independence complex, computed
     as minus the independence polynomial evaluated at -1."""
     return -independence_polynomial(g)(-1)
-
-
-# -- square-free generator correspondence -----------------------------------
-
-
-def stanley_reisner_nonfaces(cx: SimplicialComplex) -> list[list[int]]:
-    """Minimal non-faces of the complex, sorted; these generate its ideal."""
-    if cx.is_void:
-        return [[]]
-    faces = set()
-    for bucket in cx.faces_by_size():
-        faces.update(bucket)
-    out = []
-    for size in range(1, cx.n + 1):
-        for combo in combinations(range(cx.n), size):
-            m = mask_of(combo)
-            if m in faces:
-                continue
-            if all((m ^ (1 << v)) in faces for v in combo):
-                out.append(list(combo))
-    return out
-
-
-def complex_from_squarefree_generators(n: int, generators: Iterable[Iterable[int]]) -> SimplicialComplex:
-    """Complex whose faces are the subsets containing no generator."""
-    gen_masks = []
-    for gen in generators:
-        gl = list(gen)
-        if len(set(gl)) != len(gl):
-            raise ValueError(f"generator {gl!r} repeats a vertex")
-        for v in gl:
-            if not 0 <= v < n:
-                raise ValueError(f"generator vertex {v} out of range")
-        gen_masks.append(mask_of(gl))
-    # Normalize to an antichain: drop generators containing another.
-    gen_masks = sorted(set(gen_masks), key=lambda m: m.bit_count())
-    minimal: list[int] = []
-    for m in gen_masks:
-        if not any(g & ~m == 0 for g in minimal):
-            minimal.append(m)
-    if any(m == 0 for m in minimal):
-        return SimplicialComplex.void(n)
-
-    full = (1 << n) - 1
-    visited = set()
-    found: list[int] = []
-
-    def descend(mask: int) -> None:
-        if mask in visited:
-            return
-        visited.add(mask)
-        for g in minimal:
-            if g & ~mask == 0:
-                for v in bits(g):
-                    descend(mask ^ (1 << v))
-                return
-        found.append(mask)
-
-    descend(full)
-    return SimplicialComplex(n, found)
 
 
 # -- transfer matrix for cyclic ladders --------------------------------------

@@ -28,12 +28,9 @@ __all__ = [
     "family_a",
     "family_b",
     "family_d",
-    "cycle_decomposition",
     "davis_domke",
-    "davis_domke_graph",
     "cochordal_split_c4j",
     "is_cochordal_cover",
-    "are_isomorphic",
     "random_graph",
     "graph_from_json_dict",
 ]
@@ -304,21 +301,6 @@ def family_d(t: int) -> Graph:
 # -- circulant structure -------------------------------------------------
 
 
-def cycle_decomposition(n: int, j: int) -> tuple[int, int, list[list[int]]]:
-    """Split the single-distance circulant on n vertices into its cycles.
-
-    Returns (d, cycle_length, classes) with d = gcd(j, n) cycles of length
-    n/d; the classes list the vertices along each cycle.  Length-2 classes
-    are single edges.
-    """
-    if not 1 <= j <= n // 2:
-        raise ValueError(f"distance {j} outside 1..{n // 2}")
-    d = math.gcd(j, n)
-    length = n // d
-    classes = [[(i + k * j) % n for k in range(length)] for i in range(d)]
-    return d, length, classes
-
-
 def davis_domke(n: int, a: int) -> tuple[int, int, int]:
     """Decompose the cubic circulant on 2n vertices with distances {a, n}.
 
@@ -334,16 +316,6 @@ def davis_domke(n: int, a: int) -> tuple[int, int, int]:
     if (2 * n // t) % 2 == 0:
         return t, n // t, 1
     return t // 2, 2 * n // t, 2
-
-
-def davis_domke_graph(n: int, a: int) -> Graph:
-    """Materialize the decomposition as a disjoint union of ladder copies."""
-    copies, m, step = davis_domke(n, a)
-    base = circulant(2 * m, {step, m})
-    g = empty_graph(0)
-    for _ in range(copies):
-        g = g.disjoint_union(base)
-    return g
 
 
 def _induced_edge_set(g: Graph, vertices: set[int]) -> set[tuple[int, int]]:
@@ -389,56 +361,6 @@ def is_cochordal_cover(g: Graph, parts: Sequence[Graph]) -> bool:
     if union != g.edges:
         return False
     return all(p.complement().is_chordal() for p in parts)
-
-
-# -- isomorphism (desk scale) ---------------------------------------------
-
-
-def are_isomorphic(g: Graph, h: Graph) -> bool:
-    """Backtracking isomorphism test, meant for graphs up to ~14 vertices."""
-    n = g.n
-    if n != h.n or g.edge_count != h.edge_count:
-        return False
-    if sorted(g.degrees()) != sorted(h.degrees()):
-        return False
-    if n == 0:
-        return True
-
-    # Order g's vertices so each one touches as many earlier ones as possible.
-    order: list[int] = []
-    placed = 0
-    while len(order) < n:
-        best = max(
-            (v for v in range(n) if not placed >> v & 1),
-            key=lambda v: ((g.adj[v] & placed).bit_count(), g.degree(v), -v),
-        )
-        order.append(best)
-        placed |= 1 << best
-
-    hdeg = h.degrees()
-    gdeg = g.degrees()
-    mapping = [-1] * n
-
-    def extend(k: int, used: int) -> bool:
-        if k == n:
-            return True
-        v = order[k]
-        need = 0
-        for u in order[:k]:
-            if g.adjacent(v, u):
-                need |= 1 << mapping[u]
-        for w in range(n):
-            if used >> w & 1 or hdeg[w] != gdeg[v]:
-                continue
-            if (h.adj[w] & used) != need:
-                continue
-            mapping[v] = w
-            if extend(k + 1, used | (1 << w)):
-                return True
-        mapping[v] = -1
-        return False
-
-    return extend(0, 0)
 
 
 def random_graph(n: int, p: float, rng: random.Random) -> Graph:

@@ -33,7 +33,6 @@ __all__ = [
     "field_name",
     "reduced_homology_dims",
     "euler_from_homology",
-    "boundary_matrix",
 ]
 
 RATIONALS = "Q"
@@ -232,20 +231,3 @@ def euler_from_homology(cx: SimplicialComplex, field=2) -> int:
     """Alternating sum of reduced homology dimensions, starting in degree -1."""
     dims = reduced_homology_dims(cx, field)
     return sum(dim if d % 2 == 0 else -dim for d, dim in dims.items())
-
-
-def boundary_matrix(cx: SimplicialComplex, k: int, field="Q") -> tuple[list[int], list[int], list[list[int]]]:
-    """Signed boundary matrix from size-k faces to size-(k-1) faces.
-
-    Returns (row_faces, column_faces, rows); mainly for inspecting the chain
-    complex and testing that consecutive boundaries compose to zero.
-    """
-    field = normalize_field(field)
-    sizes = cx.faces_by_size()
-    if k < 1 or k > len(sizes) - 1:
-        return [], [], []
-    smaller, larger = sizes[k - 1], sizes[k]
-    rows = _signed_rows(smaller, larger)
-    if field != RATIONALS:
-        rows = [[x % field for x in row] for row in rows]
-    return smaller, larger, rows

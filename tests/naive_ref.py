@@ -4,11 +4,14 @@ Everything here works by direct enumeration and textbook row reduction
 (Fractions over the rationals, modular arithmetic otherwise) with none of
 the pruning, symmetry, bit-packing or memoization the library uses, so the
 two routes to each number share no code beyond the definitions.  The last
-two sections are the exceptions.  One runs the rounds of the sweep's fold on
-one subset at a time, with sets, as the reference the bit-sliced fold, which
-folds every subset of a sweep at once, must match exactly.  The other states
+three sections are the exceptions.  One runs the rounds of the sweep's fold
+on one subset at a time, with sets, as the reference the bit-sliced fold,
+which folds every subset of a sweep at once, must match exactly.  One states
 the cubic circulants' regularity by cases on t = gcd(2n, a), as a reference
-for the library's form, which reads the Davis-Domke decomposition.
+for the library's form, which reads the Davis-Domke decomposition.  The last
+tests graphs for isomorphism by backtracking, and builds the disjoint union
+of ladder copies that the Davis-Domke decomposition names, so that the
+decomposition can be checked against the circulant it decomposes.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ import math
 from fractions import Fraction
 
 from circreg._bitops import bits
-from circreg.graphs import Graph
+from circreg.graphs import Graph, circulant, davis_domke, empty_graph
 
 
 def independent_mask(g: Graph, mask: int) -> bool:
@@ -249,3 +252,63 @@ def reg_cubic_by_gcd(n: int, a: int) -> int:
         return (k if k % 2 == 1 else k + 1) * t + 1
     k = (2 * n // t - 1) // 2
     return (k if k % 2 == 0 else k + 1) * t // 2 + 1
+
+
+# -- isomorphism (desk scale) and the Davis-Domke union ------------------------
+
+
+def are_isomorphic(g: Graph, h: Graph) -> bool:
+    """Backtracking isomorphism test, meant for graphs up to ~14 vertices."""
+    n = g.n
+    if n != h.n or g.edge_count != h.edge_count:
+        return False
+    if sorted(g.degrees()) != sorted(h.degrees()):
+        return False
+    if n == 0:
+        return True
+
+    # Order g's vertices so each one touches as many earlier ones as possible.
+    order: list[int] = []
+    placed = 0
+    while len(order) < n:
+        best = max(
+            (v for v in range(n) if not placed >> v & 1),
+            key=lambda v: ((g.adj[v] & placed).bit_count(), g.degree(v), -v),
+        )
+        order.append(best)
+        placed |= 1 << best
+
+    hdeg = h.degrees()
+    gdeg = g.degrees()
+    mapping = [-1] * n
+
+    def extend(k: int, used: int) -> bool:
+        if k == n:
+            return True
+        v = order[k]
+        need = 0
+        for u in order[:k]:
+            if g.adjacent(v, u):
+                need |= 1 << mapping[u]
+        for w in range(n):
+            if used >> w & 1 or hdeg[w] != gdeg[v]:
+                continue
+            if (h.adj[w] & used) != need:
+                continue
+            mapping[v] = w
+            if extend(k + 1, used | (1 << w)):
+                return True
+        mapping[v] = -1
+        return False
+
+    return extend(0, 0)
+
+
+def davis_domke_graph(n: int, a: int) -> Graph:
+    """Materialize the decomposition as a disjoint union of ladder copies."""
+    copies, m, step = davis_domke(n, a)
+    base = circulant(2 * m, {step, m})
+    g = empty_graph(0)
+    for _ in range(copies):
+        g = g.disjoint_union(base)
+    return g

@@ -1,5 +1,5 @@
-"""Complexes, polynomials, Euler characteristics, and the generator
-correspondence, checked against subset-enumeration oracles."""
+"""Complexes, polynomials and Euler characteristics, checked against
+subset-enumeration oracles."""
 
 import random
 from itertools import combinations
@@ -11,11 +11,9 @@ import naive_ref
 from circreg.complexes import (
     IntPoly,
     SimplicialComplex,
-    complex_from_squarefree_generators,
     euler_via_independence,
     independence_complex,
     independence_polynomial,
-    stanley_reisner_nonfaces,
     transfer_matrix_indpoly,
 )
 from circreg.graphs import (
@@ -67,13 +65,6 @@ class TestComplexBasics:
         assert void.is_void and not irr.is_void
         assert irr.dim == -1
 
-    def test_downward_closure_membership(self):
-        cx = independence_complex(circulant(8, {1, 4}))
-        for facet in cx.facets:
-            for size in range(facet.bit_count() + 1):
-                for sub in combinations([v for v in range(8) if facet >> v & 1], size):
-                    assert cx.has_face(sub)
-
     def test_f_vector_void_raises(self):
         with pytest.raises(ValueError):
             SimplicialComplex.void(3).f_vector()
@@ -89,10 +80,6 @@ class TestComplexBasics:
         monkeypatch.setattr(circreg.complexes, "MAX_MATERIALIZED_FACES", 7)
         with pytest.raises(ValueError, match="more than 7 faces"):
             cx.faces_by_size()
-
-    def test_json_round_trip(self):
-        cx = independence_complex(circulant(8, {1, 4}))
-        assert SimplicialComplex.from_json_dict(cx.to_json_dict()) == cx
 
 
 class TestIndependenceComplex:
@@ -171,47 +158,6 @@ class TestFaceLister:
                     assert independence_complex(g).facets == tuple(naive_ref.maximal_independent_masks(g))
 
 
-class TestRestriction:
-    def test_restriction_two_points(self):
-        cx = independence_complex(cycle_graph(4)).restriction({0, 1})
-        assert cx.facets == (0b01, 0b10)
-
-    def test_restriction_identity(self):
-        cx = independence_complex(circulant(9, {1, 2}))
-        assert cx.restriction(range(9)) == cx
-
-    def test_restriction_to_empty_is_empty_face(self):
-        cx = independence_complex(cycle_graph(4)).restriction(())
-        assert cx.facets == (0,)
-
-    def test_restriction_of_c5_prefix(self):
-        cx = independence_complex(cycle_graph(5)).restriction({0, 1, 2})
-        faces = sorted(m for bucket in cx.faces_by_size() for m in bucket)
-        assert faces == [0b000, 0b001, 0b010, 0b100, 0b101]
-
-    def test_restriction_composes_as_intersection(self):
-        rng = random.Random(31)
-        for _ in range(10):
-            g = random_graph(7, rng.random(), rng)
-            cx = independence_complex(g)
-            w1 = rng.randrange(1 << 7)
-            w2 = rng.randrange(1 << 7)
-            assert cx.restriction(w1 & w2) == cx.restriction(w1).restriction(w2)
-
-    def test_restriction_matches_induced_subgraph(self):
-        g = circulant(10, {1, 5})
-        cx = independence_complex(g)
-        w = 0b0110110110
-        sub, mapping = g.induced([v for v in range(10) if w >> v & 1])
-        expected = {
-            sum(1 << mapping[v] for v in range(sub.n) if m >> v & 1)
-            for bucket in independence_complex(sub).faces_by_size()
-            for m in bucket
-        }
-        got = {m for bucket in cx.restriction(w).faces_by_size() for m in bucket}
-        assert got == expected
-
-
 class TestIndependencePolynomial:
     def test_complete(self):
         assert independence_polynomial(complete_graph(4)) == IntPoly((1, 4))
@@ -259,37 +205,6 @@ class TestEuler:
         g = moebius(8)
         assert g.n == 16
         assert independence_complex(g).euler_char() == euler_via_independence(g)
-
-
-class TestStanleyReisner:
-    def test_c4_nonfaces_are_edges(self):
-        cx = independence_complex(cycle_graph(4))
-        assert stanley_reisner_nonfaces(cx) == [sorted(e) for e in sorted(cycle_graph(4).edges)]
-
-    def test_triangle_generators_give_points(self):
-        cx = complex_from_squarefree_generators(3, [{0, 1}, {1, 2}, {0, 2}])
-        assert cx == independence_complex(complete_graph(3))
-
-    def test_round_trip_both_ways(self):
-        rng = random.Random(53)
-        graphs = [circulant(8, {1, 4}), cycle_graph(5)] + [
-            random_graph(6, rng.random(), rng) for _ in range(5)
-        ]
-        for g in graphs:
-            cx = independence_complex(g)
-            gens = stanley_reisner_nonfaces(cx)
-            assert complex_from_squarefree_generators(g.n, gens) == cx
-            regen = stanley_reisner_nonfaces(complex_from_squarefree_generators(g.n, gens))
-            assert regen == gens
-
-    def test_rejects_repeated_vertex(self):
-        with pytest.raises(ValueError):
-            complex_from_squarefree_generators(3, [[0, 0]])
-
-    def test_normalizes_redundant_generators(self):
-        a = complex_from_squarefree_generators(4, [{0, 1}, {0, 1, 2}])
-        b = complex_from_squarefree_generators(4, [{0, 1}])
-        assert a == b
 
 
 class TestTransferMatrix:
