@@ -12,10 +12,3 @@ def bits(mask: int) -> Iterator[int]:
         yield low.bit_length() - 1
         mask ^= low
 
-
-def mask_of(vertices) -> int:
-    """Pack an iterable of vertex indices into a bitmask."""
-    m = 0
-    for v in vertices:
-        m |= 1 << v
-    return m

@@ -16,6 +16,14 @@ Otherwise the homology is computed once per folded graph up to
 relabelling, while the entry still uses the size j of the original subset:
 once per table, or once per suite when the caller passes the tables one
 memo (the relabelled graph does not depend on the graph it was folded from).
+Each such computation splits the core G at a vertex w of least degree:
+Ind(G) = Ind(G - w) ∪ w * Ind(G - N[w]) (M. Adamaszek, "Splittings of
+independence complexes and the powers of cycles", J. Combin. Theory Ser. A
+2012).  The cone w * Ind(G - N[w]) is contractible, so by excision
+H~(Ind G) = H(Ind(G - w), Ind(G - N[w])) over Z with no condition on G;
+reading it off the homology of the two smaller complexes alone would need
+the inclusion of the second in the first to be null-homotopic.  The
+relative complex is ranked on its faces, those of Ind(G - w) that meet N(w).
 The fold is bit-sliced (E. Biham, "A fast new DES implementation in
 software", FSE 1997): the subsets of a sweep are transposed into one
 bit-plane per vertex, an integer whose bit t says that subset t holds the
@@ -353,6 +361,13 @@ def _relabelled(adj: Sequence[int], core: int, verts: list[int]) -> tuple[int, .
 def _core_homology(adj: Sequence[int], core: int, field, memo: dict) -> dict[int, int]:
     """Nonzero reduced homology of the independence complex induced on *core*.
 
+    A miss splits Ind(G), G the graph induced on *core*, at a vertex w of
+    least degree, the lowest such label, so that few faces meet N(w).  The
+    cone w * Ind(G - N[w]) is contractible, so one split is exact for every
+    G (module docstring): H~_d(Ind G) = H_d(Ind(G - w), Ind(G - N[w])) over
+    Z, ranked on the relative list, the faces of Ind(G - w) that meet N(w).
+    A cone's core, with an isolated vertex, lists no face and has no homology.
+
     The memo key reads the core in ascending vertex order.  A miss also
     stores the dims under the key read in descending order.  That is the key
     of the core's mirror image under v -> n-1-v, an automorphism of every
@@ -362,9 +377,12 @@ def _core_homology(adj: Sequence[int], core: int, field, memo: dict) -> dict[int
     key = _relabelled(adj, core, verts)
     dims = memo.get(key)
     if dims is None:
+        w = min(verts, key=lambda v: (adj[v] & core).bit_count())
+        near = adj[w] & core
         # A face's state is the core vertices adjacent to none of its members.
-        faces, _ = _list_faces(core, [(1 << v, 1 << v, ~adj[v]) for v in verts])
-        dims = {d: v for d, v in homology_dims_from_sizes(_by_size(faces), field).items() if v}
+        faces, _ = _list_faces(core, [(1 << v, 1 << v, ~adj[v]) for v in verts if v != w])
+        sizes = _by_size([f for f in faces if f & near])
+        dims = {d: v for d, v in homology_dims_from_sizes(sizes, field).items() if v}
         memo[key] = memo[_relabelled(adj, core, verts[::-1])] = dims
     return dims
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from ._bitops import bits, mask_of
+from ._bitops import bits
 from .graphs import Graph
 
 __all__ = [
@@ -118,10 +118,6 @@ class IntPoly:
     def to_json_dict(self) -> dict:
         return {"coeffs": list(self.coeffs)}
 
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "IntPoly":
-        return cls(d["coeffs"])
-
 
 class SimplicialComplex:
     """Downward-closed face family on 0..n-1, stored by its facets."""
@@ -140,10 +136,6 @@ class SimplicialComplex:
                 kept.append(m)
         self.n = n
         self.facets = tuple(sorted(kept))
-
-    @classmethod
-    def from_facets(cls, n: int, facets: Iterable[Iterable[int]]) -> "SimplicialComplex":
-        return cls(n, (mask_of(f) for f in facets))
 
     @classmethod
     def void(cls, n: int) -> "SimplicialComplex":
@@ -225,7 +217,7 @@ def _list_faces(start: int, steps: Iterable[tuple[int, int, int]]) -> tuple[list
 
 def _by_size(faces: list[int]) -> list[list[int]]:
     """Faces grouped by cardinality, each group in the order given."""
-    sizes: list[list[int]] = [[] for _ in range(max(map(int.bit_count, faces)) + 1)]
+    sizes: list[list[int]] = [[] for _ in range(max(map(int.bit_count, faces), default=-1) + 1)]
     for f in faces:
         sizes[f.bit_count()].append(f)
     return sizes

@@ -2,9 +2,22 @@
 
 The chain complex is augmented: the empty face generates degree -1, so a
 single point has no reduced homology and the empty-face complex has one
-dimension of homology in degree -1.  Ranks are computed by exact Gaussian
-elimination: bit-packed XOR elimination over GF(2), modular elimination for
-odd primes, and an integer-preserving elimination for the rationals.
+dimension of homology in degree -1.  The faces may also be a relative list,
+the faces of a complex K outside a subcomplex L.  Its chain complex is the
+quotient by L's chains: a boundary face that is not listed counts as zero,
+nothing maps onto an empty face that is not listed, and the dims are those
+of H(K, L).  Ranks are computed by exact Gaussian elimination: bit-packed
+XOR elimination over GF(2), modular elimination for odd primes, and an
+integer-preserving elimination for the rationals.
+
+Over GF(2) the maps are ranked from the top size down, with clearing (C. Chen
+and M. Kerber, "Persistent homology computation with a twist", EuroCG 2011).
+Each column is reduced by the earlier ones until its highest row is one no
+earlier column has.  A reduced column r of the map from size k + 1 is a
+boundary, so its own boundary is zero.  If its highest row is face i, that
+says the boundary of i is a sum of boundaries of faces listed before i: the
+column of i in the map from size k lies in the span of lower-indexed
+columns.  So that column is skipped, and the rank does not change.
 
 Over Q most complexes need no integer elimination.  By the universal
 coefficient theorem (Hatcher, *Algebraic Topology*, 2002, section 3.A),
@@ -18,6 +31,7 @@ zero: the GF(2) dims are the Q dims.  Otherwise the boundaries are ranked
 over the integers.  2-torsion raises the GF(2) dims in two adjacent degrees,
 so a complex with 2-torsion always takes that fallback.  The rule is for Q
 alone: a Q result equal to the GF(2) one says nothing about odd torsion.
+All of this holds for a relative list alike, since its chains are free.
 """
 
 from __future__ import annotations
@@ -68,22 +82,6 @@ def field_name(field) -> str:
 
 
 # -- exact ranks -------------------------------------------------------------
-
-
-def _rank_gf2(columns: list[int]) -> int:
-    """Rank over GF(2) of a matrix given as column bitmasks."""
-    pivots: dict[int, int] = {}
-    rank = 0
-    for col in columns:
-        while col:
-            top = col.bit_length() - 1
-            piv = pivots.get(top)
-            if piv is None:
-                pivots[top] = col
-                rank += 1
-                break
-            col ^= piv
-    return rank
 
 
 def _rank_mod_p(rows: list[list[int]], p: int) -> int:
@@ -159,31 +157,43 @@ def _rank_int(rows: list[list[int]]) -> int:
 def _signed_rows(smaller: list[int], larger: list[int]) -> list[list[int]]:
     """Signed boundary matrix with a row per face in *smaller* and a column
     per face in *larger*: dropping the t-th vertex of a face gives the entry
-    (-1)^t at the face that is left."""
+    (-1)^t at the face that is left, or nothing when that face is unlisted."""
     index = {m: i for i, m in enumerate(smaller)}
     rows = [[0] * len(larger) for _ in smaller]
     for cj, face in enumerate(larger):
         sign = 1
         for v in bits(face):
-            rows[index[face ^ (1 << v)]][cj] = sign
+            i = index.get(face ^ (1 << v))
+            if i is not None:
+                rows[i][cj] = sign
             sign = -sign
     return rows
 
 
-def _boundary_rank(smaller: list[int], larger: list[int], field) -> int:
+def _boundary_rank(smaller: list[int], larger: list[int], field, pivots: set) -> int:
     """Rank of the boundary map from the size-(k) faces in *larger* down to
-    the size-(k-1) faces in *smaller*."""
-    if not larger or not smaller:
-        return 0
+    the size-(k-1) faces in *smaller*; a face missing from *smaller* counts
+    as zero.  Over GF(2) the columns are reduced in order, each by the
+    earlier column with the same highest row, and *pivots* gets the face of
+    each reduced column's highest row."""
     if field == 2:
-        index = {m: i for i, m in enumerate(smaller)}
-        cols = []
+        index = {m: 1 << i for i, m in enumerate(smaller)}
+        reduced: dict[int, int] = {}  # highest row -> reduced column
         for face in larger:
             col = 0
-            for v in bits(face):
-                col |= 1 << index[face ^ (1 << v)]
-            cols.append(col)
-        return _rank_gf2(cols)
+            rest = face
+            while rest:
+                low = rest & -rest
+                col |= index.get(face ^ low, 0)
+                rest ^= low
+            while col:
+                top = col.bit_length() - 1
+                if top not in reduced:
+                    reduced[top] = col
+                    break
+                col ^= reduced[top]
+        pivots.update(smaller[i] for i in reduced)
+        return len(reduced)
     rows = _signed_rows(smaller, larger)
     if field == RATIONALS:
         return _rank_int(rows)
@@ -193,10 +203,13 @@ def _boundary_rank(smaller: list[int], larger: list[int], field) -> int:
 def homology_dims_from_sizes(sizes: list[list[int]], field) -> dict[int, int]:
     """Reduced homology dimensions given faces grouped by cardinality.
 
-    Returns {degree: dim} for degrees -1..dim.  Over Q the GF(2) dims are
-    taken first; when their nonzero degrees share one parity they are the Q
-    dims (universal coefficients, see the module docstring), and otherwise
-    the boundaries are ranked over the integers.
+    *sizes* may be a relative list, the faces of K not in a subcomplex L,
+    and the dims are then those of H(K, L).  Returns {degree: dim} for
+    degrees -1..dim.  Over Q the GF(2) dims are taken first; when their
+    nonzero degrees share one parity they are the Q dims (universal
+    coefficients, see the module docstring), and otherwise the boundaries
+    are ranked over the integers.  Over GF(2) the maps are ranked from the
+    top size down, with clearing.
     """
     field = normalize_field(field)
     if field == RATIONALS:
@@ -206,10 +219,16 @@ def homology_dims_from_sizes(sizes: list[list[int]], field) -> dict[int, int]:
     top = len(sizes) - 1
     # ranks[k]: rank of the boundary from size-k faces to size-(k-1) faces,
     # zero for k = 0 and k = top + 1; k = 1 is the all-ones row onto the
-    # empty face.
-    ranks = [0, 1 if top >= 1 and sizes[1] else 0]
-    ranks += [_boundary_rank(sizes[k - 1], sizes[k], field) for k in range(2, top + 1)]
-    ranks.append(0)
+    # empty face, when it is listed.
+    ranks = [0] * (top + 2)
+    if top >= 1 and sizes[0] and sizes[1]:
+        ranks[1] = 1
+    cleared: set[int] = set()  # over GF(2), the pivots of the map one size up
+    for k in range(top, 1, -1):
+        cols = [f for f in sizes[k] if f not in cleared]
+        cleared = set()
+        if sizes[k - 1] and cols:
+            ranks[k] = _boundary_rank(sizes[k - 1], cols, field, cleared)
     return {d: len(sizes[d + 1]) - ranks[d + 1] - ranks[d + 2] for d in range(-1, top)}
 
 

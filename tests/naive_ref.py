@@ -3,15 +3,17 @@
 Everything here works by direct enumeration and textbook row reduction
 (Fractions over the rationals, modular arithmetic otherwise) with none of
 the pruning, symmetry, bit-packing or memoization the library uses, so the
-two routes to each number share no code beyond the definitions.  The last
-three sections are the exceptions.  One runs the rounds of the sweep's fold
-on one subset at a time, with sets, as the reference the bit-sliced fold,
-which folds every subset of a sweep at once, must match exactly.  One states
-the cubic circulants' regularity by cases on t = gcd(2n, a), as a reference
-for the library's form, which reads the Davis-Domke decomposition.  The last
-tests graphs for isomorphism by backtracking, and builds the disjoint union
-of ladder copies that the Davis-Domke decomposition names, so that the
-decomposition can be checked against the circulant it decomposes.
+two routes to each number share no code beyond the definitions.
+complex_from_facets only builds the library's complex from vertex lists, as
+the input of a check.  The last three sections are the exceptions.  One runs
+the rounds of the sweep's fold on one subset at a time, with sets, as the
+reference the bit-sliced fold, which folds every subset of a sweep at once,
+must match exactly.  One states the cubic circulants' regularity by cases on
+t = gcd(2n, a), as a reference for the library's form, which reads the
+Davis-Domke decomposition.  The last tests graphs for isomorphism by
+backtracking, and builds the disjoint union of ladder copies that the
+Davis-Domke decomposition names, so that the decomposition can be checked
+against the circulant it decomposes.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ import math
 from fractions import Fraction
 
 from circreg._bitops import bits
+from circreg.complexes import SimplicialComplex
 from circreg.graphs import Graph, circulant, davis_domke, empty_graph
 
 
@@ -46,6 +49,20 @@ def faces_by_size_within(g: Graph, w: int) -> list[list[int]]:
     for m in masks:
         sizes[m.bit_count()].append(m)
     return sizes
+
+
+def relative_faces_by_size(g: Graph, w: int) -> list[list[int]]:
+    """The faces of Ind(g - w) that meet N(w), grouped by size, ascending:
+    the relative list of Ind(g - w) over Ind(g - N[w]).  Group 0 is empty,
+    since the empty face meets nothing."""
+    masks = [m for m in independent_masks_within(g, g.full_mask & ~(1 << w)) if m & g.adj[w]]
+    top = max((m.bit_count() for m in masks), default=0)
+    return [[m for m in masks if m.bit_count() == k] for k in range(top + 1)]
+
+
+def complex_from_facets(n: int, facets) -> SimplicialComplex:
+    """The complex on 0..n-1 whose facets are the given vertex lists."""
+    return SimplicialComplex(n, (sum(1 << v for v in f) for f in facets))
 
 
 def maximal_independent_masks(g: Graph) -> list[int]:
@@ -111,11 +128,13 @@ def rank(matrix: list[list[int]], field) -> int:
 
 
 def boundary_rows(smaller: list[int], larger: list[int]) -> list[list[int]]:
+    """Signed boundary matrix; a face missing from *smaller* has no row."""
     rows = [[0] * len(larger) for _ in smaller]
     index = {f: i for i, f in enumerate(smaller)}
     for j, face in enumerate(larger):
         for t, v in enumerate(sorted(bits(face))):
-            rows[index[face ^ (1 << v)]][j] = (-1) ** t
+            if face ^ (1 << v) in index:
+                rows[index[face ^ (1 << v)]][j] = (-1) ** t
     return rows
 
 

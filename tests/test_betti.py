@@ -453,6 +453,50 @@ def _fold_sample():
     return graphs
 
 
+def _full_dims(g, w, field):
+    """Nonzero reduced homology of Ind(g[w]) by the reference, from every face."""
+    found = naive_ref.homology_dims(naive_ref.faces_by_size_within(g, w), field)
+    return {d: v for d, v in found.items() if v}
+
+
+class TestCoreHomology:
+    """_core_homology ranks the faces of Ind(G - w) that meet N(w); the
+    reference ranks every face of Ind(G).  Each call gets a fresh memo."""
+
+    @pytest.mark.parametrize("field", [2, 3, 5, "Q"])
+    def test_every_core_of_every_graph_on_at_most_five_vertices(self, field):
+        # Every vertex set of every graph on 5 vertices, one per induced
+        # graph up to the relabelling that keeps their order; that covers
+        # every graph on at most 5 vertices, cones included.
+        seen = set()
+        for g in _all_graphs(5):
+            for w in range(1, 1 << 5):
+                sub = g.induced(bits(w))[0]
+                if (sub.n, sub.edges) not in seen:
+                    seen.add((sub.n, sub.edges))
+                    assert _core_homology(g.adj, w, field, {}) == _full_dims(g, w, field), (g.edges, w)
+        assert len(seen) == sum(1 << k * (k - 1) // 2 for k in range(1, 6))
+
+    @pytest.mark.parametrize("field", [2, 3, 5, "Q"])
+    def test_seeded_sample_on_six_to_eleven_vertices(self, field):
+        rng = random.Random(157)
+        nonzero = 0
+        for n in range(6, 12):
+            for _ in range(3):
+                g = random_graph(n, rng.uniform(0.2, 0.7), rng)
+                cores = sorted(set(_cores(g, range(1, 1 << n))) - {0})
+                for w in [g.full_mask] + rng.sample(cores, min(6, len(cores))):
+                    dims = _core_homology(g.adj, w, field, {})
+                    assert dims == _full_dims(g, w, field), (g.edges, w)
+                    nonzero += bool(dims)
+        assert nonzero > 50
+
+    def test_flag_rp2_depends_on_the_field(self):
+        g = Graph(12, RP2_EDGES)
+        for field, expected in ((2, {1: 1, 2: 1}), (3, {}), (5, {}), ("Q", {})):
+            assert _core_homology(g.adj, g.full_mask, field, {}) == expected == _full_dims(g, g.full_mask, field)
+
+
 class TestFold:
     def test_isolated_vertex_is_a_cone(self):
         c5 = cycle_graph(5)

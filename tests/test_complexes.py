@@ -51,17 +51,18 @@ class TestIntPoly:
 
     def test_json_round_trip(self):
         p = IntPoly((1, 4))
-        assert IntPoly.from_json_dict(p.to_json_dict()) == p
+        assert p.to_json_dict() == {"coeffs": [1, 4]}
+        assert IntPoly(p.to_json_dict()["coeffs"]) == p
 
 
 class TestComplexBasics:
     def test_facets_form_antichain(self):
-        cx = SimplicialComplex.from_facets(3, [[0, 1], [0], [1, 2]])
+        cx = naive_ref.complex_from_facets(3, [[0, 1], [0], [1, 2]])
         assert cx.facets == (0b011, 0b110)
 
     def test_void_vs_empty_face(self):
         void = SimplicialComplex.void(2)
-        irr = SimplicialComplex.from_facets(2, [[]])
+        irr = naive_ref.complex_from_facets(2, [[]])
         assert void.is_void and not irr.is_void
         assert irr.dim == -1
 
@@ -70,11 +71,11 @@ class TestComplexBasics:
             SimplicialComplex.void(3).f_vector()
 
     def test_simplex_f_vector(self):
-        cx = SimplicialComplex.from_facets(3, [[0, 1, 2]])
+        cx = naive_ref.complex_from_facets(3, [[0, 1, 2]])
         assert cx.f_vector() == (1, 3, 3, 1)
 
     def test_faces_by_size_refuses_more_than_the_bound(self, monkeypatch):
-        cx = SimplicialComplex.from_facets(3, [[0, 1, 2]])  # 8 faces
+        cx = naive_ref.complex_from_facets(3, [[0, 1, 2]])  # 8 faces
         monkeypatch.setattr(circreg.complexes, "MAX_MATERIALIZED_FACES", 8)
         assert [len(b) for b in cx.faces_by_size()] == [1, 3, 3, 1]
         monkeypatch.setattr(circreg.complexes, "MAX_MATERIALIZED_FACES", 7)
@@ -141,8 +142,8 @@ class TestFaceLister:
             assert got == naive_ref.faces_of_facets(n, facets), (n, facets)
 
     def test_faces_by_size_of_void_and_empty_face_complexes(self):
-        assert SimplicialComplex.from_facets(3, []).faces_by_size() == [] == naive_ref.faces_of_facets(3, [])
-        assert SimplicialComplex.from_facets(3, [[]]).faces_by_size() == [[0]] == naive_ref.faces_of_facets(3, [0])
+        assert naive_ref.complex_from_facets(3, []).faces_by_size() == [] == naive_ref.faces_of_facets(3, [])
+        assert naive_ref.complex_from_facets(3, [[]]).faces_by_size() == [[0]] == naive_ref.faces_of_facets(3, [0])
 
     def test_independence_complex_refuses_more_than_the_bound(self, monkeypatch):
         rng = random.Random(67)
@@ -182,7 +183,7 @@ class TestIndependencePolynomial:
 
 class TestEuler:
     def test_empty_face_complex(self):
-        assert SimplicialComplex.from_facets(2, [[]]).euler_char() == -1
+        assert naive_ref.complex_from_facets(2, [[]]).euler_char() == -1
 
     def test_c4_and_c5(self):
         assert independence_complex(cycle_graph(4)).euler_char() == 1

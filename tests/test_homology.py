@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+import circreg.homology as homology_mod
 import naive_ref
 from circreg.betti import hochster_betti_table
 from circreg.complexes import SimplicialComplex, independence_complex
@@ -34,22 +35,22 @@ class TestFieldHandling:
 
 class TestKnownComplexes:
     def test_three_points(self):
-        cx = SimplicialComplex.from_facets(3, [[0], [1], [2]])
+        cx = naive_ref.complex_from_facets(3, [[0], [1], [2]])
         for f in FIELDS:
             assert reduced_homology_dims(cx, f) == {-1: 0, 0: 2}
 
     def test_hollow_triangle(self):
-        cx = SimplicialComplex.from_facets(3, [[0, 1], [1, 2], [0, 2]])
+        cx = naive_ref.complex_from_facets(3, [[0, 1], [1, 2], [0, 2]])
         for f in FIELDS:
             assert reduced_homology_dims(cx, f) == {-1: 0, 0: 0, 1: 1}
 
     def test_full_simplex_is_acyclic(self):
-        cx = SimplicialComplex.from_facets(4, [[0, 1, 2, 3]])
+        cx = naive_ref.complex_from_facets(4, [[0, 1, 2, 3]])
         for f in FIELDS:
             assert all(v == 0 for v in reduced_homology_dims(cx, f).values())
 
     def test_empty_face_complex(self):
-        cx = SimplicialComplex.from_facets(2, [[]])
+        cx = naive_ref.complex_from_facets(2, [[]])
         assert reduced_homology_dims(cx) == {-1: 1}
 
     def test_void_raises(self):
@@ -73,19 +74,24 @@ class TestCones:
                 assert all(v == 0 for v in reduced_homology_dims(cone, f).values())
 
 
-class TestBoundaryIdentities:
-    def _complexes(self):
-        rng = random.Random(67)
-        out = [independence_complex(cycle_graph(6)), independence_complex(complete_graph(4))]
-        out += [independence_complex(random_graph(7, rng.random(), rng)) for _ in range(6)]
-        return out
+def _face_lists():
+    """Faces grouped by size: every face of each complex, and the relative
+    lists of Ind(G - w) over Ind(G - N[w]), the faces of Ind(G - w) that
+    meet N(w), at each w with a neighbour."""
+    rng = random.Random(67)
+    graphs = [cycle_graph(6), complete_graph(4)]
+    graphs += [random_graph(7, rng.random(), rng) for _ in range(6)]
+    out = [independence_complex(g).faces_by_size() for g in graphs]
+    out += [naive_ref.relative_faces_by_size(g, w) for g in graphs for w in range(g.n) if g.adj[w]]
+    return out
 
+
+class TestBoundaryIdentities:
     @staticmethod
-    def _composites(cx, p=None):
+    def _composites(sizes, p=None):
         """For each k >= 2, the boundary from size-k faces to size-(k-1)
         faces followed by the one down to size-(k-2) faces, each signed
         matrix reduced mod p first when p is given."""
-        sizes = cx.faces_by_size()
         for k in range(2, len(sizes)):
             upper = _signed_rows(sizes[k - 1], sizes[k])
             lower = _signed_rows(sizes[k - 2], sizes[k - 1])
@@ -97,16 +103,66 @@ class TestBoundaryIdentities:
                 for i in range(len(lower))
             ]
 
+    def test_relative_lists_are_sampled(self):
+        lists = _face_lists()
+        assert sum(not sizes[0] and len(sizes) > 3 for sizes in lists) > 10
+
     def test_boundary_of_boundary_is_zero(self):
-        for cx in self._complexes():
-            for composite in self._composites(cx):
+        for sizes in _face_lists():
+            for composite in self._composites(sizes):
                 assert all(acc == 0 for row in composite for acc in row)
 
     def test_boundary_of_boundary_mod_p(self):
-        for cx in self._complexes():
+        for sizes in _face_lists():
             for p in (2, 3):
-                for composite in self._composites(cx, p):
+                for composite in self._composites(sizes, p):
                     assert all(acc % p == 0 for row in composite for acc in row)
+
+    def test_signed_rows_match_the_reference(self):
+        # The sign alternates over every vertex of a face, listed or not.
+        for sizes in _face_lists():
+            for k in range(1, len(sizes)):
+                assert _signed_rows(sizes[k - 1], sizes[k]) == naive_ref.boundary_rows(sizes[k - 1], sizes[k])
+
+
+class TestRelativeLists:
+    """A relative list has no empty face, so nothing maps onto it, and
+    over GF(2) the maps are ranked from the top size down with clearing."""
+
+    def test_dims_match_textbook_elimination(self):
+        for sizes in _face_lists():
+            for f in (2, 3, 5, "Q"):
+                assert homology_dims_from_sizes(sizes, f) == naive_ref.homology_dims(sizes, f), (sizes, f)
+
+    def test_single_edge_is_two_points(self):
+        # Ind(K2) at w = 0: the one face {1}, with nothing below it.
+        for f in (2, 3, "Q"):
+            assert homology_dims_from_sizes([[], [0b10]], f) == {-1: 0, 0: 1}
+
+    def test_clearing_skips_one_column_per_pivot_one_size_up(self, monkeypatch):
+        calls = []
+        real = homology_mod._boundary_rank
+
+        def record(smaller, larger, *args):
+            calls.append((len(smaller), len(larger)))
+            return real(smaller, larger, *args)
+
+        monkeypatch.setattr(homology_mod, "_boundary_rank", record)
+        skipped = 0
+        for sizes in _face_lists():
+            calls.clear()
+            homology_dims_from_sizes(sizes, 2)
+            top = len(sizes) - 1
+            ranks = [naive_ref.rank(naive_ref.boundary_rows(sizes[k - 1], sizes[k]), 2) for k in range(1, top + 1)]
+            ranks = [0] + ranks + [0]  # ranks[k]: the map from size k
+            expected = []
+            for k in range(top, 1, -1):
+                columns = len(sizes[k]) - ranks[k + 1]
+                if sizes[k - 1] and columns:
+                    expected.append((len(sizes[k - 1]), columns))
+                skipped += ranks[k + 1]
+            assert calls == expected, sizes
+        assert skipped
 
 
 class TestEulerAgreement:
@@ -181,6 +237,6 @@ class TestRationalsByParity:
 
     def test_circle_plus_point_falls_back(self, rank_int_calls):
         # GF(2) dims in degrees 0 and 1: the parity rule cannot decide.
-        cx = SimplicialComplex.from_facets(4, [[0, 1], [1, 2], [0, 2], [3]])
+        cx = naive_ref.complex_from_facets(4, [[0, 1], [1, 2], [0, 2], [3]])
         assert reduced_homology_dims(cx, "Q") == {-1: 0, 0: 1, 1: 1}
         assert rank_int_calls
