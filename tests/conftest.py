@@ -6,9 +6,15 @@ import circreg.homology as homology_mod
 
 
 @pytest.fixture
-def rank_int_calls(monkeypatch) -> list:
-    """The row count of each call to the integer elimination, in order."""
+def rational_rank_calls(monkeypatch) -> list:
+    """The row count of each boundary ranked over Q, in order."""
     calls: list = []
-    real = homology_mod._rank_int
-    monkeypatch.setattr(homology_mod, "_rank_int", lambda rows: calls.append(len(rows)) or real(rows))
+    real = homology_mod._boundary_rank
+
+    def record(smaller, larger, field, pivots):
+        if field == homology_mod.RATIONALS:
+            calls.append(len(smaller))
+        return real(smaller, larger, field, pivots)
+
+    monkeypatch.setattr(homology_mod, "_boundary_rank", record)
     return calls

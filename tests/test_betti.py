@@ -386,11 +386,11 @@ class TestCrossField:
             dims = reduced_homology_dims(cx, field)
             assert {d: v for d, v in dims.items() if v} == expected, field
 
-    def test_flag_rp2_over_q_ranks_over_the_integers(self, rank_int_calls):
+    def test_flag_rp2_over_q_ranks_over_the_integers(self, rational_rank_calls):
         # RP^2's torsion cores have GF(2) dims in two adjacent degrees, so
-        # their Q dims come from the integer elimination.
+        # their Q dims come from the boundaries ranked over Q.
         t = hochster_betti_table(Graph(12, RP2_EDGES), "Q")
-        assert rank_int_calls
+        assert rational_rank_calls
         assert (t.regularity, t.projective_dimension) == (3, 8)
 
     @pytest.mark.parametrize("sweep", ["hochster_betti_table", "induced_betti_tables"])
@@ -413,9 +413,9 @@ class TestCrossField:
         assert q == table("Q")
         assert gf2 == table(2)
 
-    def test_circulant_over_q_ranks_nothing_over_the_integers(self, rank_int_calls):
+    def test_circulant_over_q_ranks_nothing_over_the_integers(self, rational_rank_calls):
         t = hochster_betti_table(circulant(18, {1, 9}), "Q")
-        assert rank_int_calls == []
+        assert rational_rank_calls == []
         assert t.entries == hochster_betti_table(circulant(18, {1, 9}), 2).entries
 
     def test_json_round_trip(self):

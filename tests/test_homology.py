@@ -2,6 +2,8 @@
 and agreement with the combinatorial Euler characteristic."""
 
 import random
+import signal
+from math import gcd
 
 import pytest
 
@@ -11,7 +13,8 @@ from circreg.betti import hochster_betti_table
 from circreg.complexes import SimplicialComplex, independence_complex
 from circreg.graphs import complete_graph, cycle_graph, random_graph
 from circreg.homology import (
-    _signed_rows,
+    _reduced_columns,
+    _signed_columns,
     euler_from_homology,
     homology_dims_from_sizes,
     normalize_field,
@@ -89,19 +92,21 @@ def _face_lists():
 class TestBoundaryIdentities:
     @staticmethod
     def _composites(sizes, p=None):
-        """For each k >= 2, the boundary from size-k faces to size-(k-1)
-        faces followed by the one down to size-(k-2) faces, each signed
-        matrix reduced mod p first when p is given."""
+        """For each k >= 2 and each face of size k, the column of its
+        boundary followed by the boundary one size down, as a dense list,
+        each signed column taken mod p first when p is given."""
         for k in range(2, len(sizes)):
-            upper = _signed_rows(sizes[k - 1], sizes[k])
-            lower = _signed_rows(sizes[k - 2], sizes[k - 1])
+            upper = _signed_columns(sizes[k - 1], sizes[k])
+            lower = _signed_columns(sizes[k - 2], sizes[k - 1])
             if p:
-                upper = [[x % p for x in row] for row in upper]
-                lower = [[x % p for x in row] for row in lower]
-            yield [
-                [sum(lower[i][t] * upper[t][j] for t in range(len(upper))) for j in range(len(upper[0]))]
-                for i in range(len(lower))
-            ]
+                upper = [{t: x % p for t, x in col.items()} for col in upper]
+                lower = [{i: x % p for i, x in col.items()} for col in lower]
+            for col in upper:
+                acc = [0] * len(sizes[k - 2])
+                for t, x in col.items():
+                    for i, y in lower[t].items():
+                        acc[i] += x * y
+                yield acc
 
     def test_relative_lists_are_sampled(self):
         lists = _face_lists()
@@ -110,19 +115,69 @@ class TestBoundaryIdentities:
     def test_boundary_of_boundary_is_zero(self):
         for sizes in _face_lists():
             for composite in self._composites(sizes):
-                assert all(acc == 0 for row in composite for acc in row)
+                assert all(acc == 0 for acc in composite)
 
     def test_boundary_of_boundary_mod_p(self):
         for sizes in _face_lists():
             for p in (2, 3):
                 for composite in self._composites(sizes, p):
-                    assert all(acc % p == 0 for row in composite for acc in row)
+                    assert all(acc % p == 0 for acc in composite)
 
-    def test_signed_rows_match_the_reference(self):
+    def test_signed_columns_match_the_reference(self):
         # The sign alternates over every vertex of a face, listed or not.
         for sizes in _face_lists():
             for k in range(1, len(sizes)):
-                assert _signed_rows(sizes[k - 1], sizes[k]) == naive_ref.boundary_rows(sizes[k - 1], sizes[k])
+                rows = naive_ref.boundary_rows(sizes[k - 1], sizes[k])
+                expected = [{i: row[j] for i, row in enumerate(rows) if row[j]} for j in range(len(sizes[k]))]
+                assert _signed_columns(sizes[k - 1], sizes[k]) == expected
+
+
+class TestColumnReduction:
+    """The sparse reduction that ranks boundaries over odd primes and Q, on
+    integer columns given as {row: entry}."""
+
+    @pytest.fixture(autouse=True)
+    def deadline(self):
+        # A step that leaves the top entry standing loops forever: fail it.
+        def expire(signum, frame):
+            raise TimeoutError("the reduction did not finish in 10 s")
+
+        previous = signal.signal(signal.SIGALRM, expire)
+        signal.alarm(10)
+        try:
+            yield
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+
+    def test_determinant_minus_three(self):
+        # Columns (1, 1) and (1, -2): rank 1 over GF(3), rank 2 over GF(5) and Q.
+        columns = [{0: 1, 1: 1}, {0: 1, 1: -2}]
+        assert len(_reduced_columns(columns, 3)) == 1
+        assert len(_reduced_columns(columns, 5)) == 2
+        assert len(_reduced_columns(columns, "Q")) == 2
+
+    def test_ranks_match_textbook_elimination(self):
+        # Every column holds a unit, as a boundary column does, so it starts
+        # primitive; over Q each reduced column must stay primitive.  A
+        # column over GF(p) lists only its entries that p does not divide.
+        rng = random.Random(181)
+        for _ in range(300):
+            nrows, ncols = rng.randint(1, 7), rng.randint(1, 7)
+            rows = [[rng.choice((0, 0, 0, 1, -1, 2, -2, 3)) for _ in range(ncols)] for _ in range(nrows)]
+            for j in range(ncols):
+                rows[rng.randrange(nrows)][j] = rng.choice((1, -1))
+            for f in (3, 5, "Q"):
+                columns = [{} for _ in range(ncols)]
+                for i, row in enumerate(rows):
+                    for j, x in enumerate(row):
+                        if x if f == "Q" else x % f:
+                            columns[j][i] = x
+                reduced = _reduced_columns(columns, f)
+                assert len(reduced) == naive_ref.rank(rows, f), (rows, f)
+                assert all(max(col) == top for top, col in reduced.items())
+                if f == "Q":
+                    assert all(gcd(*col.values()) == 1 for col in reduced.values()), rows
 
 
 class TestRelativeLists:
@@ -143,26 +198,34 @@ class TestRelativeLists:
         calls = []
         real = homology_mod._boundary_rank
 
-        def record(smaller, larger, *args):
-            calls.append((len(smaller), len(larger)))
-            return real(smaller, larger, *args)
+        def record(smaller, larger, field, pivots):
+            calls.append((field, len(smaller), len(larger)))
+            return real(smaller, larger, field, pivots)
 
         monkeypatch.setattr(homology_mod, "_boundary_rank", record)
-        skipped = 0
-        for sizes in _face_lists():
-            calls.clear()
-            homology_dims_from_sizes(sizes, 2)
-            top = len(sizes) - 1
-            ranks = [naive_ref.rank(naive_ref.boundary_rows(sizes[k - 1], sizes[k]), 2) for k in range(1, top + 1)]
-            ranks = [0] + ranks + [0]  # ranks[k]: the map from size k
-            expected = []
-            for k in range(top, 1, -1):
-                columns = len(sizes[k]) - ranks[k + 1]
-                if sizes[k - 1] and columns:
-                    expected.append((len(sizes[k - 1]), columns))
-                skipped += ranks[k + 1]
-            assert calls == expected, sizes
-        assert skipped
+        skipped = dict.fromkeys((2, 3, 5, "Q"), 0)
+        # A circle beside a filled triangle has GF(2) dims in degrees 0 and 1.
+        lists = _face_lists() + [naive_ref.complex_from_facets(6, [[0, 1], [1, 2], [0, 2], [3, 4, 5]]).faces_by_size()]
+        for sizes in lists:
+            # Over Q the boundaries are ranked only when the GF(2) dims lie
+            # in degrees of both parities.
+            gf2_dims = naive_ref.homology_dims(sizes, 2)
+            ranked_over_q = len({d % 2 for d, dim in gf2_dims.items() if dim}) > 1
+            for f in skipped:
+                calls.clear()
+                homology_dims_from_sizes(sizes, f)
+                top = len(sizes) - 1
+                ranks = [naive_ref.rank(naive_ref.boundary_rows(sizes[k - 1], sizes[k]), f) for k in range(1, top + 1)]
+                ranks = [0] + ranks + [0]  # ranks[k]: the map from size k
+                expected = []
+                if f != "Q" or ranked_over_q:
+                    for k in range(top, 1, -1):
+                        columns = len(sizes[k]) - ranks[k + 1]
+                        if sizes[k - 1] and columns:
+                            expected.append((len(sizes[k - 1]), columns))
+                        skipped[f] += ranks[k + 1]
+                assert [c[1:] for c in calls if c[0] == f] == expected, (sizes, f)
+        assert all(skipped.values()), skipped
 
 
 class TestEulerAgreement:
@@ -216,10 +279,10 @@ class TestAgainstNaiveRank:
 
 class TestRationalsByParity:
     """Over Q the GF(2) dims are returned when their nonzero degrees share one
-    parity; otherwise the boundaries are ranked over the integers.  The
-    reference ranks every boundary with Fractions and applies no rule."""
+    parity; otherwise the boundaries are ranked over Q.  The reference ranks
+    every boundary with Fractions and applies no rule."""
 
-    def test_dims_match_fraction_rank_on_every_induced_subgraph(self, rank_int_calls):
+    def test_dims_match_fraction_rank_on_every_induced_subgraph(self, rational_rank_calls):
         rng = random.Random(163)
         for n in range(4, 10):
             for _ in range(3):
@@ -227,16 +290,16 @@ class TestRationalsByParity:
                 for w in range(1, 1 << n):
                     sizes = naive_ref.faces_by_size_within(g, w)
                     assert homology_dims_from_sizes(sizes, "Q") == naive_ref.homology_dims(sizes, "Q"), (g.edges, w)
-        assert rank_int_calls, "the sample must reach the integer fallback"
+        assert rational_rank_calls, "the sample must reach the Q fallback"
 
-    def test_tables_match_the_naive_sweep(self, rank_int_calls):
+    def test_tables_match_the_naive_sweep(self, rational_rank_calls):
         for g in _naive_rank_sample():
             if g.n <= 7:
                 assert hochster_betti_table(g, "Q").entries == naive_ref.betti_entries(g, "Q"), g.edges
-        assert rank_int_calls, "the sample must reach the integer fallback"
+        assert rational_rank_calls, "the sample must reach the Q fallback"
 
-    def test_circle_plus_point_falls_back(self, rank_int_calls):
+    def test_circle_plus_point_falls_back(self, rational_rank_calls):
         # GF(2) dims in degrees 0 and 1: the parity rule cannot decide.
         cx = naive_ref.complex_from_facets(4, [[0, 1], [1, 2], [0, 2], [3]])
         assert reduced_homology_dims(cx, "Q") == {-1: 0, 0: 1, 1: 1}
-        assert rank_int_calls
+        assert rational_rank_calls
