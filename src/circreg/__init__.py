@@ -5,10 +5,6 @@ dimension, independence polynomials, and the closed forms they verify."""
 from .graphs import (
     Graph,
     circulant,
-    complete_graph,
-    cycle_graph,
-    path_graph,
-    empty_graph,
     moebius,
     prism,
     family_a,
@@ -41,7 +37,6 @@ from .betti import (
     RegDecision,
     decide_regularity,
     property_suite,
-    betti_across_fields,
 )
 from .formulas import (
     reg_hat_j,

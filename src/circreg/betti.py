@@ -55,7 +55,7 @@ from typing import Callable, Iterable, Optional, Sequence
 from ._bitops import bits
 from .complexes import _by_size, _list_faces
 from .graphs import Graph, is_cochordal_cover
-from .homology import RATIONALS, field_name, homology_dims_from_sizes, normalize_field
+from .homology import field_name, homology_dims_from_sizes, normalize_field
 
 __all__ = [
     "BettiTable",
@@ -69,7 +69,6 @@ __all__ = [
     "PropertyReport",
     "property_suite",
     "property_vertex_sets",
-    "betti_across_fields",
 ]
 
 DEFAULT_VERTEX_LIMIT = 20
@@ -502,18 +501,6 @@ def _check_vertex_limit(
         )
 
 
-def betti_across_fields(g: Graph, fields=(2, 3, RATIONALS)):
-    """Betti tables over several fields plus an agreement flag.
-
-    Disagreement is possible (homology of independence complexes can depend
-    on the field) and is surfaced to the caller, never resolved silently.
-    """
-    tables = {field_name(f): hochster_betti_table(g, f) for f in fields}
-    vals = list(tables.values())
-    agree = all(t.entries == vals[0].entries for t in vals[1:])
-    return tables, agree
-
-
 # -- the Euler-sign decision procedure ----------------------------------------
 
 PD_BOUND_LOOSE = "n-r+1"
@@ -588,9 +575,6 @@ class PropertyReport:
     @property
     def all_passed(self) -> bool:
         return all(c.ok for c in self.checks)
-
-    def failures(self) -> list[PropertyCheck]:
-        return [c for c in self.checks if not c.ok]
 
     def to_json_dict(self) -> dict:
         return {

@@ -39,11 +39,6 @@ class IntPoly:
             cs.pop()
         self.coeffs = tuple(cs)
 
-    @property
-    def degree(self):
-        """Index of the top nonzero coefficient; -inf for the zero polynomial."""
-        return len(self.coeffs) - 1 if self.coeffs else float("-inf")
-
     def __bool__(self) -> bool:
         return bool(self.coeffs)
 
@@ -136,10 +131,6 @@ class SimplicialComplex:
                 kept.append(m)
         self.n = n
         self.facets = tuple(sorted(kept))
-
-    @classmethod
-    def void(cls, n: int) -> "SimplicialComplex":
-        return cls(n, ())
 
     @property
     def is_void(self) -> bool:

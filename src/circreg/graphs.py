@@ -19,10 +19,6 @@ from ._bitops import bits
 __all__ = [
     "Graph",
     "circulant",
-    "complete_graph",
-    "cycle_graph",
-    "path_graph",
-    "empty_graph",
     "moebius",
     "prism",
     "family_a",
@@ -73,12 +69,6 @@ class Graph:
 
     def adjacent(self, u: int, v: int) -> bool:
         return bool(self.adj[u] >> v & 1)
-
-    def degree(self, v: int) -> int:
-        return self.adj[v].bit_count()
-
-    def degrees(self) -> list[int]:
-        return [a.bit_count() for a in self.adj]
 
     def neighbors(self, v: int) -> list[int]:
         return list(bits(self.adj[v]))
@@ -225,24 +215,6 @@ def circulant(n: int, distances: Iterable[int]) -> Graph:
             j = (i + s) % n
             es.add((min(i, j), max(i, j)))
     return Graph(n, es)
-
-
-def complete_graph(n: int) -> Graph:
-    return Graph(n, combinations(range(n), 2))
-
-
-def empty_graph(n: int) -> Graph:
-    return Graph(n)
-
-
-def cycle_graph(n: int) -> Graph:
-    if n < 3:
-        raise ValueError("cycle needs at least 3 vertices")
-    return circulant(n, {1})
-
-
-def path_graph(n: int) -> Graph:
-    return Graph(n, [(i, i + 1) for i in range(n - 1)])
 
 
 def moebius(n: int) -> Graph:

@@ -44,7 +44,6 @@ from __future__ import annotations
 
 from math import gcd
 
-from ._bitops import bits
 from .complexes import SimplicialComplex
 
 __all__ = [
@@ -100,11 +99,14 @@ def _signed_columns(smaller: list[int], larger: list[int]) -> list[dict[int, int
     for face in larger:
         col = {}
         sign = 1
-        for v in bits(face):
-            i = index.get(face ^ (1 << v))
+        rest = face
+        while rest:
+            low = rest & -rest
+            i = index.get(face ^ low)
             if i is not None:
                 col[i] = sign
             sign = -sign
+            rest ^= low
         columns.append(col)
     return columns
 

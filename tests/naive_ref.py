@@ -4,8 +4,9 @@ Everything here works by direct enumeration and textbook row reduction
 (Fractions over the rationals, modular arithmetic otherwise) with none of
 the pruning, symmetry, bit-packing or memoization the library uses, so the
 two routes to each number share no code beyond the definitions.
-complex_from_facets only builds the library's complex from vertex lists, as
-the input of a check.  The last three sections are the exceptions.  One runs
+complex_from_facets only builds the library's complex from vertex lists, and
+complete_graph and path_graph build the graphs K_n and P_n, as inputs of
+checks.  The last three sections are the exceptions.  One runs
 the rounds of the sweep's fold on one subset at a time, with sets, as the
 reference the bit-sliced fold, which folds every subset of a sweep at once,
 must match exactly.  One states the cubic circulants' regularity by cases on
@@ -20,10 +21,19 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import combinations
 
 from circreg._bitops import bits
 from circreg.complexes import SimplicialComplex
-from circreg.graphs import Graph, circulant, davis_domke, empty_graph
+from circreg.graphs import Graph, circulant, davis_domke
+
+
+def complete_graph(n: int) -> Graph:
+    return Graph(n, combinations(range(n), 2))
+
+
+def path_graph(n: int) -> Graph:
+    return Graph(n, [(i, i + 1) for i in range(n - 1)])
 
 
 def independent_mask(g: Graph, mask: int) -> bool:
@@ -281,7 +291,9 @@ def are_isomorphic(g: Graph, h: Graph) -> bool:
     n = g.n
     if n != h.n or g.edge_count != h.edge_count:
         return False
-    if sorted(g.degrees()) != sorted(h.degrees()):
+    hdeg = [a.bit_count() for a in h.adj]
+    gdeg = [a.bit_count() for a in g.adj]
+    if sorted(gdeg) != sorted(hdeg):
         return False
     if n == 0:
         return True
@@ -292,13 +304,11 @@ def are_isomorphic(g: Graph, h: Graph) -> bool:
     while len(order) < n:
         best = max(
             (v for v in range(n) if not placed >> v & 1),
-            key=lambda v: ((g.adj[v] & placed).bit_count(), g.degree(v), -v),
+            key=lambda v: ((g.adj[v] & placed).bit_count(), gdeg[v], -v),
         )
         order.append(best)
         placed |= 1 << best
 
-    hdeg = h.degrees()
-    gdeg = g.degrees()
     mapping = [-1] * n
 
     def extend(k: int, used: int) -> bool:
@@ -327,7 +337,7 @@ def davis_domke_graph(n: int, a: int) -> Graph:
     """Materialize the decomposition as a disjoint union of ladder copies."""
     copies, m, step = davis_domke(n, a)
     base = circulant(2 * m, {step, m})
-    g = empty_graph(0)
+    g = Graph(0)
     for _ in range(copies):
         g = g.disjoint_union(base)
     return g

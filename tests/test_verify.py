@@ -30,8 +30,10 @@ PROPERTIES_SHA256_BY_FIELD = {
     3: "d798ac97f244f9cf9e1c8f2a89c2d61f71b688015667e4fc1394395522cfa1d1",
 }
 
-# sha256 of the default theorem1, theorem2 and lemmas reports over GF(2) and
-# over Q, with the wall_ms fields removed.
+# sha256 of the default theorem1, theorem2 and lemmas reports over GF(2), Q
+# and GF(3), with the wall_ms fields removed.  The GF(3) digests were taken on
+# commit 4855de3, before the signed boundary columns walked each face's
+# vertices by its lowest set bit.
 DEFAULT_REPORT_SHA256 = {
     ("theorem1", 2): "c46ae663c7f14963842e125731c67e67a1c5f83e4ffacca6f1e07b3a9d05eed4",
     ("theorem1", "Q"): "27d72f91f32ccc98e1272a49d62a2a52db7d7f48969de1e1a97841a20fabd930",
@@ -39,6 +41,9 @@ DEFAULT_REPORT_SHA256 = {
     ("theorem2", "Q"): "ed4557b7cd721992351047af330bbf5818013eba0412a09eed605518a7b70aa3",
     ("lemmas", 2): "b3c2312e4e6cd8720e89fa651f537b55adcf6aad4bf2315a2ee4f6311f93827f",
     ("lemmas", "Q"): "b2b2afa6fb361c1a7e42fc27739aeb8c6c7f37c2296114d0c3cdde993743f114",
+    ("theorem1", 3): "adb6d4665fc4464f7c650806af96cacd760b5fcc90601e8d42c00e2a4a0c065c",
+    ("theorem2", 3): "d0c7243d7641f8243e7942c32578860c55ff4f63869e658d0664555c9c766439",
+    ("lemmas", 3): "824bc7db102ede5a45b9f57b15a915b73e63eb34e2d224cdef79e83d2dd09a55",
 }
 
 
