@@ -65,8 +65,6 @@ __all__ = [
     "induced_betti_tables",
     "RegDecision",
     "decide_regularity",
-    "PropertyCheck",
-    "PropertyReport",
     "property_suite",
     "property_vertex_sets",
 ]
@@ -114,14 +112,6 @@ class BettiTable:
     def projective_dimension(self) -> int:
         self._require_nonzero()
         return max(i for (i, j) in self.entries)
-
-    @property
-    def regularity_quotient(self) -> int:
-        return self.regularity - 1
-
-    @property
-    def projective_dimension_quotient(self) -> int:
-        return self.projective_dimension + 1
 
     def items_sorted(self) -> list[tuple[int, int, int]]:
         return [(i, j, b) for (i, j), b in sorted(self.entries.items())]
@@ -530,24 +520,24 @@ class RegDecision:
         return asdict(self)
 
 
-def decide_regularity(n: int, r: int, pd_bound: str, chi: int) -> RegDecision:
+def decide_regularity(n: int, r: int, pd: int, chi: int) -> RegDecision:
     """Decide reg or pd of a square-free ideal in n variables from a
-    certified regularity bound r, a pd bound of the stated shape, and the
-    reduced Euler characteristic of the associated complex.
+    certified regularity bound r, a certified pd bound pd, and the reduced
+    Euler characteristic of the associated complex.
 
     With pd <= n-r+1 only the top two column-n Betti numbers can survive, so
     the sign of chi pins one of them; with pd <= n-r a single entry remains
-    and any nonzero chi certifies reg = r.
+    and any nonzero chi certifies reg = r.  The case that applies is recorded
+    as the decision's pd_bound.
     """
     if r < 1 or r > n:
         raise ValueError(f"need 1 <= r <= n, got r={r}, n={n}")
-    if pd_bound not in (PD_BOUND_LOOSE, PD_BOUND_TIGHT):
-        raise ValueError(f"pd_bound must be '{PD_BOUND_LOOSE}' or '{PD_BOUND_TIGHT}'")
+    if pd > n - r + 1:
+        raise ValueError(f"need pd <= n - r + 1 = {n - r + 1}, got pd={pd}")
+    pd_bound = PD_BOUND_TIGHT if pd <= n - r else PD_BOUND_LOOSE
     if chi == 0:
         return RegDecision(OUTCOME_INCONCLUSIVE, None, n, r, pd_bound, chi)
-    if pd_bound == PD_BOUND_TIGHT:
-        return RegDecision(OUTCOME_REGULARITY, r, n, r, pd_bound, chi)
-    if (r % 2 == 0) == (chi > 0):
+    if pd_bound == PD_BOUND_TIGHT or (r % 2 == 0) == (chi > 0):
         return RegDecision(OUTCOME_REGULARITY, r, n, r, pd_bound, chi)
     return RegDecision(OUTCOME_PD, n - r + 1, n, r, pd_bound, chi)
 
@@ -555,33 +545,9 @@ def decide_regularity(n: int, r: int, pd_bound: str, chi: int) -> RegDecision:
 # -- property harness ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PropertyCheck:
-    name: str
-    applicable: bool
-    passed: bool
-    detail: str = ""
-
-    @property
-    def ok(self) -> bool:
-        return self.passed or not self.applicable
-
-
-@dataclass(frozen=True)
-class PropertyReport:
-    graph: dict
-    checks: tuple[PropertyCheck, ...]
-
-    @property
-    def all_passed(self) -> bool:
-        return all(c.ok for c in self.checks)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "graph": self.graph,
-            "passed": self.all_passed,
-            "checks": [asdict(c) for c in self.checks],
-        }
+def _check(name: str, applicable: bool = False, passed: bool = True, detail: str = "") -> dict:
+    """One check of a property report; a check that does not apply passes."""
+    return {"name": name, "applicable": applicable, "passed": passed, "detail": detail}
 
 
 def _reg_ideal(oracle: Callable[[Graph], BettiTable], g: Graph) -> int:
@@ -617,15 +583,16 @@ def property_suite(
     oracle: Callable[[Graph], BettiTable],
     cover_witness: Optional[Sequence[Graph]] = None,
     edge_partition: Optional[tuple[Graph, Graph]] = None,
-) -> PropertyReport:
+) -> dict:
     """Check the classical regularity facts on one graph against the oracle.
 
     The oracle maps a graph to its Betti table (normally the subset sweep);
     every check that applies is evaluated exactly and failures are reported,
-    not raised.
+    not raised.  The report is plain JSON data: the graph, the checks (each
+    with name, applicable, passed and detail) and whether all passed.
     """
     table = oracle(g)
-    checks: list[PropertyCheck] = []
+    checks: list[dict] = []
     has_edges = bool(g.edges)
     reg = table.regularity if has_edges else None
     comp_sets, deletion_sets = property_vertex_sets(g)
@@ -637,32 +604,32 @@ def property_suite(
         detail = f"reg(R/I)={reg - 1}, component sum={total}"
     else:
         passed, detail = True, ""
-    checks.append(PropertyCheck("disjoint_union_additivity", applicable, passed, detail))
+    checks.append(_check("disjoint_union_additivity", applicable, passed, detail))
 
     if has_edges:
         chordal_c = g.complement().is_chordal()
         passed = (reg == 2) == chordal_c
         detail = f"reg={reg}, complement chordal={chordal_c}"
-        checks.append(PropertyCheck("reg2_iff_complement_chordal", True, passed, detail))
+        checks.append(_check("reg2_iff_complement_chordal", True, passed, detail))
     else:
-        checks.append(PropertyCheck("reg2_iff_complement_chordal", False, True))
+        checks.append(_check("reg2_iff_complement_chordal"))
 
     if cover_witness is not None and has_edges:
         try:
             valid = is_cochordal_cover(g, cover_witness)
         except ValueError as exc:
-            checks.append(PropertyCheck("cochordal_cover_bound", True, False, str(exc)))
+            checks.append(_check("cochordal_cover_bound", True, False, str(exc)))
         else:
             passed = valid and reg <= len(cover_witness) + 1
             detail = f"cover valid={valid}, reg={reg}, parts={len(cover_witness)}"
-            checks.append(PropertyCheck("cochordal_cover_bound", True, passed, detail))
+            checks.append(_check("cochordal_cover_bound", True, passed, detail))
     else:
-        checks.append(PropertyCheck("cochordal_cover_bound", False, True))
+        checks.append(_check("cochordal_cover_bound"))
 
     applicable = has_edges and g.is_gap_free() and g.is_claw_free()
     passed = reg <= 3 if applicable else True
     checks.append(
-        PropertyCheck("gapfree_clawfree_reg_at_most_3", applicable, passed, f"reg={reg}" if applicable else "")
+        _check("gapfree_clawfree_reg_at_most_3", applicable, passed, f"reg={reg}" if applicable else "")
     )
 
     if has_edges:
@@ -674,9 +641,9 @@ def property_suite(
                 bad.append((x, drop_nbhd, drop_vertex))
         passed = not bad
         detail = f"reg={reg}, violations={bad}" if bad else f"reg={reg}, all {g.n} vertices"
-        checks.append(PropertyCheck("vertex_deletion_membership", True, passed, detail))
+        checks.append(_check("vertex_deletion_membership", True, passed, detail))
     else:
-        checks.append(PropertyCheck("vertex_deletion_membership", False, True))
+        checks.append(_check("vertex_deletion_membership"))
 
     if edge_partition is not None:
         h, k = edge_partition
@@ -690,8 +657,8 @@ def property_suite(
             detail = f"reg(R/I)={reg - 1}<={rh}+{rk}; pd={pg}<={ph}+{pk}+1"
         else:
             passed, detail = True, ""
-        checks.append(PropertyCheck("edge_split_subadditivity", applicable, passed, detail))
+        checks.append(_check("edge_split_subadditivity", applicable, passed, detail))
     else:
-        checks.append(PropertyCheck("edge_split_subadditivity", False, True))
+        checks.append(_check("edge_split_subadditivity"))
 
-    return PropertyReport(g.to_json_dict(), tuple(checks))
+    return {"graph": g.to_json_dict(), "passed": all(c["passed"] for c in checks), "checks": checks}

@@ -193,17 +193,9 @@ def _cmd_reg(args) -> int:
         payload = {"zero_ideal": True, "reg": None, "pd": None}
         _emit(args, payload, "zero ideal (edgeless graph): reg and pd undefined")
         return 0
-    payload = {
-        "reg": table.regularity,
-        "pd": table.projective_dimension,
-        "reg_quotient": table.regularity_quotient,
-        "pd_quotient": table.projective_dimension_quotient,
-    }
-    human = (
-        f"reg(I) = {payload['reg']}, pd(I) = {payload['pd']} "
-        f"(quotient: reg = {payload['reg_quotient']}, pd = {payload['pd_quotient']})"
-    )
-    _emit(args, payload, human)
+    reg, pd = table.regularity, table.projective_dimension
+    payload = {"reg": reg, "pd": pd, "reg_quotient": reg - 1, "pd_quotient": pd + 1}
+    _emit(args, payload, f"reg(I) = {reg}, pd(I) = {pd} (quotient: reg = {reg - 1}, pd = {pd + 1})")
     return 0
 
 

@@ -195,7 +195,8 @@ def test_criterion_6_decision_procedure_replication(family_pool):
                 assert chi > 0, (kind, n)
             else:
                 assert chi < 0, (kind, n)
-            decision = decide_regularity(nvars, reg_bound, bound_kind, chi)
+            decision = decide_regularity(nvars, reg_bound, pd_bound, chi)
+            assert decision.pd_bound == bound_kind, (kind, n)
             assert decision.outcome == OUTCOME_REGULARITY, (kind, n)
             assert decision.value == table.regularity, (kind, n)
             checked += 1

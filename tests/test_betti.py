@@ -2,6 +2,7 @@
 no-shortcut enumeration oracle, plus the decision procedure and the
 property harness."""
 
+import json
 import random
 from itertools import combinations
 
@@ -11,6 +12,8 @@ import naive_ref
 import circreg.betti as betti_mod
 from circreg._bitops import bits
 from circreg.betti import (
+    PD_BOUND_LOOSE,
+    PD_BOUND_TIGHT,
     BettiTable,
     VertexLimitError,
     ZeroIdealError,
@@ -27,7 +30,9 @@ from circreg.betti import (
     property_suite,
     property_vertex_sets,
 )
+from circreg.cli import main, parse_graph_spec
 from circreg.complexes import euler_via_independence, independence_complex
+from circreg.formulas import bound_cubic
 from circreg.graphs import (
     Graph,
     circulant,
@@ -36,6 +41,7 @@ from circreg.graphs import (
     random_graph,
 )
 from circreg.homology import reduced_homology_dims
+from circreg.verify import _cubic_ladders
 from naive_ref import complete_graph, path_graph
 
 
@@ -83,10 +89,14 @@ class TestKnownTables:
             assert t.entries == expected
             assert t.projective_dimension == n - 2
 
-    def test_quotient_normalizations(self):
-        t = hochster_betti_table(complete_graph(4))
-        assert t.regularity_quotient == t.regularity - 1
-        assert t.projective_dimension_quotient == t.projective_dimension + 1
+    def test_quotient_normalizations(self, capsys):
+        # `reg --json` prints reg(R/I) = reg(I) - 1 and pd(R/I) = pd(I) + 1.
+        for spec in ("circulant:4:1,2", "circulant:8:1,4", "prism:3"):
+            t = hochster_betti_table(parse_graph_spec(spec))
+            assert main(["reg", spec, "--json"]) == 0
+            data = json.loads(capsys.readouterr().out)
+            assert data["reg_quotient"] == t.regularity - 1, spec
+            assert data["pd_quotient"] == t.projective_dimension + 1, spec
 
 
 def _all_circulants(nmax):
@@ -580,33 +590,47 @@ class TestFold:
 
 class TestDecision:
     def test_loose_bound_cases(self):
-        assert decide_regularity(10, 4, "n-r+1", 1).outcome == "regularity_determined"
-        assert decide_regularity(10, 4, "n-r+1", 1).value == 4
-        assert decide_regularity(10, 5, "n-r+1", -2).value == 5
-        d = decide_regularity(10, 4, "n-r+1", -3)
+        assert decide_regularity(10, 4, 7, 1).outcome == "regularity_determined"
+        assert decide_regularity(10, 4, 7, 1).value == 4
+        assert decide_regularity(10, 5, 6, -2).value == 5
+        d = decide_regularity(10, 4, 7, -3)
         assert d.outcome == "pd_determined" and d.value == 7
-        d = decide_regularity(10, 5, "n-r+1", 3)
+        d = decide_regularity(10, 5, 6, 3)
         assert d.outcome == "pd_determined" and d.value == 6
-        assert decide_regularity(10, 4, "n-r+1", 0).outcome == "inconclusive"
+        assert decide_regularity(10, 4, 7, 0).outcome == "inconclusive"
 
     def test_tight_bound_cases(self):
-        assert decide_regularity(12, 4, "n-r", -1).value == 4
-        assert decide_regularity(12, 4, "n-r", 5).value == 4
-        assert decide_regularity(12, 4, "n-r", 0).outcome == "inconclusive"
+        assert decide_regularity(12, 4, 8, -1).value == 4
+        assert decide_regularity(12, 4, 8, 5).value == 4
+        assert decide_regularity(12, 4, 8, 0).outcome == "inconclusive"
 
     def test_rejects_bad_r(self):
         with pytest.raises(ValueError):
-            decide_regularity(5, 0, "n-r", 1)
+            decide_regularity(5, 0, 5, 1)
         with pytest.raises(ValueError):
-            decide_regularity(5, 6, "n-r", 1)
+            decide_regularity(5, 6, -1, 1)
         with pytest.raises(ValueError):
-            decide_regularity(5, 2, "pd<=n", 1)
+            decide_regularity(5, 2, 5, 1)
+
+    def test_case_is_read_off_the_numbers(self):
+        # A ladder's bounds have one of the two shapes, and the decision
+        # records which; pd <= n - r is the tight case, its edge included.
+        for kind, n in _cubic_ladders(10):
+            r, pd = bound_cubic(kind, n)
+            shape = {2 * n - r: PD_BOUND_TIGHT, 2 * n - r + 1: PD_BOUND_LOOSE}[pd]
+            assert decide_regularity(2 * n, r, pd, 1).pd_bound == shape, (kind, n)
+        for n, r in [(4, 2), (10, 4), (12, 5)]:
+            assert decide_regularity(n, r, n - r - 1, 1).pd_bound == PD_BOUND_TIGHT
+            assert decide_regularity(n, r, n - r, 1).pd_bound == PD_BOUND_TIGHT
+            assert decide_regularity(n, r, n - r + 1, 1).pd_bound == PD_BOUND_LOOSE
+            with pytest.raises(ValueError, match=rf"n - r \+ 1 = {n - r + 1}\b"):
+                decide_regularity(n, r, n - r + 2, 1)
 
     def test_never_contradicts_oracle_on_k4(self):
         # K_4: reg <= 2 and pd <= n-r+1 = 3 both hold; chi = 3 > 0, r even.
         g = complete_graph(4)
         chi = euler_via_independence(g)
-        d = decide_regularity(4, 2, "n-r+1", chi)
+        d = decide_regularity(4, 2, 3, chi)
         assert d.is_regularity and d.value == hochster_betti_table(g).regularity
 
 
@@ -614,13 +638,13 @@ class TestPropertySuite:
     def test_two_disjoint_edges_additivity(self):
         g = Graph(4, [(0, 1), (2, 3)])
         report = property_suite(g, oracle2)
-        check = {c.name: c for c in report.checks}["disjoint_union_additivity"]
-        assert check.applicable and check.passed
+        check = {c["name"]: c for c in report["checks"]}["disjoint_union_additivity"]
+        assert check["applicable"] and check["passed"]
 
     def test_c4_froberg(self):
         report = property_suite(circulant(4, {1}), oracle2)
-        check = {c.name: c for c in report.checks}["reg2_iff_complement_chordal"]
-        assert check.applicable and check.passed
+        check = {c["name"]: c for c in report["checks"]}["reg2_iff_complement_chordal"]
+        assert check["applicable"] and check["passed"]
 
     def test_c8_14_vertex_deletion(self):
         g = circulant(8, {1, 4})
@@ -630,8 +654,8 @@ class TestPropertySuite:
         b = oracle2(g.without_vertex(0)).regularity
         assert t.regularity in (a, b)
         report = property_suite(g, oracle2)
-        check = {c.name: c for c in report.checks}["vertex_deletion_membership"]
-        assert check.applicable and check.passed
+        check = {c["name"]: c for c in report["checks"]}["vertex_deletion_membership"]
+        assert check["applicable"] and check["passed"]
 
     def test_vertex_set_order(self):
         g = Graph(4, [(0, 1), (2, 3)])
@@ -655,23 +679,23 @@ class TestPropertySuite:
             return BettiTable(h.n, 2, {(0, h.n): 1})
 
         report = property_suite(path_graph(3), by_size)
-        check = {c.name: c for c in report.checks}["vertex_deletion_membership"]
-        assert not check.passed
-        assert check.detail == "reg=3, violations=[(0, 2, 2), (1, 2, 1), (2, 2, 2)]"
+        check = {c["name"]: c for c in report["checks"]}["vertex_deletion_membership"]
+        assert not check["passed"]
+        assert check["detail"] == "reg=3, violations=[(0, 2, 2), (1, 2, 1), (2, 2, 2)]"
 
     def test_cover_witness_bound(self):
         g = circulant(8, {1, 3, 4})
         report = property_suite(g, oracle2, cover_witness=list(cochordal_split_c4j(2)))
-        check = {c.name: c for c in report.checks}["cochordal_cover_bound"]
-        assert check.applicable and check.passed
+        check = {c["name"]: c for c in report["checks"]}["cochordal_cover_bound"]
+        assert check["applicable"] and check["passed"]
 
     def test_edge_partition_subadditivity(self):
         g = circulant(6, {1})
         edges = sorted(g.edges)
         part = (Graph(6, edges[:3]), Graph(6, edges[3:]))
         report = property_suite(g, oracle2, edge_partition=part)
-        check = {c.name: c for c in report.checks}["edge_split_subadditivity"]
-        assert check.applicable and check.passed
+        check = {c["name"]: c for c in report["checks"]}["edge_split_subadditivity"]
+        assert check["applicable"] and check["passed"]
 
     def test_failures_are_reported_not_raised(self):
         # Lying oracle: forces a visible failure entry.
@@ -680,5 +704,5 @@ class TestPropertySuite:
             return BettiTable(t.n, 2, {(0, 5): 1})
 
         report = property_suite(circulant(4, {1}), bad_oracle)
-        assert not report.all_passed
-        assert [c for c in report.checks if not c.ok]
+        assert not report["passed"]
+        assert [c for c in report["checks"] if not c["passed"]]

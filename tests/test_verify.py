@@ -2,7 +2,8 @@
 seeded table must equal a separate sweep of its induced graph, and the
 default properties, theorem1, theorem2 and lemmas reports must not change.
 A suite's sweeps share one homology memo that lives as long as the suite
-call, and sharing it changes no table.  An instance whose
+call, and sharing it changes no table.  Each properties report is plain
+JSON data, and a check that does not apply passes.  An instance whose
 Euler-characteristic routes disagree fails, and a suite whose largest graph
 is over the sweep's vertex limit refuses before it sweeps."""
 
@@ -75,6 +76,24 @@ def test_properties_seeded_tables_equal_separate_sweeps(monkeypatch):
         rec.pop("wall_ms")
     digest = hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest()
     assert digest == DEFAULT_PROPERTIES_SHA256
+
+
+def test_property_reports_are_json_data_and_inapplicable_checks_pass(monkeypatch):
+    reports = []
+    property_suite = verify.property_suite
+
+    def recording(*args, **kwargs):
+        reports.append(property_suite(*args, **kwargs))
+        return reports[-1]
+
+    monkeypatch.setattr(verify, "property_suite", recording)
+    verify.verify_properties(count=20)
+    oracle = lambda g: hochster_betti_table(g, 2)
+    reports += [property_suite(Graph(5), oracle), property_suite(Graph(3, [(0, 1)]), oracle)]
+    assert len(reports) == 22
+    for report in reports:
+        assert json.loads(json.dumps(report)) == report
+        assert all(c["passed"] for c in report["checks"] if not c["applicable"]), report
 
 
 def _digest(report: dict) -> str:
