@@ -11,7 +11,9 @@ complexes", Discrete Math. 2009): if N(u) is contained in N(v) for
 distinct u, v, then Ind(G) is homotopy equivalent to Ind(G - v).  Folds
 are repeated until none applies.  Homotopy equivalence keeps torsion, so
 the reduction is exact over every field.  An isolated vertex is the
-degenerate fold: the restriction is a cone and the subset is skipped.
+degenerate fold: a restriction that holds one is a cone and adds nothing.
+So hochster_betti_table drops a graph's isolated vertices before its sweep
+starts, and within a sweep a subset that folds to a cone is not counted.
 Otherwise the homology is computed once per folded graph up to
 relabelling, while the entry still uses the size j of the original subset:
 once per table, or once per suite when the caller passes the tables one
@@ -387,8 +389,12 @@ def hochster_betti_table(
     """Full graded Betti table of the edge ideal of g over the given field.
 
     Edgeless graphs give the distinguished zero-ideal table.  The sweep is
-    exponential in the vertex count and refuses graphs above *vertex_limit*.
-    It is serial and ignores *workers*.  The parameter stays because
+    exponential in the vertex count and refuses graphs above *vertex_limit*,
+    counting every vertex of g.  A subset that holds an isolated vertex is a
+    cone and adds nothing, so the graph induced on the other vertices is
+    swept, by necklaces when the rotation is one of its automorphisms
+    (as for C5 plus an isolated vertex), and the table keeps g's vertex
+    count.  It is serial and ignores *workers*.  The parameter stays because
     perfbench/run.py reads it from this signature to time workers=2.
 
     *memo*, when given, is a dict that this sweep reads and fills with the
@@ -401,7 +407,8 @@ def hochster_betti_table(
     _check_vertex_limit(g.n, vertex_limit, "vertex_limit")
     if not g.edges:
         return BettiTable(g.n, field, {})
-    entries = _sweep_chunk(g.adj, field, _subset_orbit_reps(g), memo)
+    swept = g if all(g.adj) else g.induced(compress(range(g.n), g.adj))[0]
+    entries = _sweep_chunk(swept.adj, field, _subset_orbit_reps(swept), memo)
     return BettiTable(g.n, field, entries)
 
 
@@ -550,12 +557,16 @@ def _check(name: str, applicable: bool = False, passed: bool = True, detail: str
     return {"name": name, "applicable": applicable, "passed": passed, "detail": detail}
 
 
-def _reg_ideal(oracle: Callable[[Graph], BettiTable], g: Graph) -> int:
-    # Edgeless graphs carry the zero ideal; reg(R/0) = 0 gives the value 1
-    # under the reg(I) = reg(R/I) + 1 normalization used throughout.
-    if not g.edges:
+def _reg_ideal(g: Graph, vertex_set: Sequence[int], table: BettiTable) -> int:
+    """reg of g[W], W = *vertex_set*, from *table*, the table of g[W].
+
+    An edgeless g[W] carries the zero ideal; reg(R/0) = 0 gives the value 1
+    under the reg(I) = reg(R/I) + 1 normalization used throughout.  Whether
+    g[W] has an edge is read off g's adjacency, not off the table."""
+    w = sum(1 << v for v in vertex_set)
+    if not any(g.adj[v] & w for v in vertex_set):
         return 1
-    return oracle(g).regularity
+    return table.regularity
 
 
 def property_vertex_sets(
@@ -583,6 +594,8 @@ def property_suite(
     oracle: Callable[[Graph], BettiTable],
     cover_witness: Optional[Sequence[Graph]] = None,
     edge_partition: Optional[tuple[Graph, Graph]] = None,
+    *,
+    induced: Optional[Sequence[BettiTable]] = None,
 ) -> dict:
     """Check the classical regularity facts on one graph against the oracle.
 
@@ -590,16 +603,27 @@ def property_suite(
     every check that applies is evaluated exactly and failures are reported,
     not raised.  The report is plain JSON data: the graph, the checks (each
     with name, applicable, passed and detail) and whether all passed.
+
+    *induced*, when given, holds the tables of the induced subgraphs g[W],
+    one per vertex set of property_vertex_sets(g) in its order: the
+    components, then V - N[x] and V - {x} for each vertex x in turn, as
+    induced_betti_tables gives them from one sweep of g; a list of another
+    length is a ValueError.  Without it each is oracle(g.induced(W)[0]).
     """
     table = oracle(g)
     checks: list[dict] = []
     has_edges = bool(g.edges)
     reg = table.regularity if has_edges else None
     comp_sets, deletion_sets = property_vertex_sets(g)
+    vertex_sets = [*comp_sets, *(vs for pair in deletion_sets for vs in pair)]
+    if induced is None:
+        induced = [oracle(g.induced(vs)[0]) for vs in vertex_sets]
+    regs = [_reg_ideal(g, vs, t) for vs, t in zip(vertex_sets, induced, strict=True)]
+    comp_regs, deletion_regs = regs[:len(comp_sets)], regs[len(comp_sets):]
 
     applicable = bool(comp_sets)
     if applicable:
-        total = sum(_reg_ideal(oracle, g.induced(vs)[0]) - 1 for vs in comp_sets)
+        total = sum(r - 1 for r in comp_regs)
         passed = reg - 1 == total
         detail = f"reg(R/I)={reg - 1}, component sum={total}"
     else:
@@ -634,9 +658,8 @@ def property_suite(
 
     if has_edges:
         bad = []
-        for x, (nbhd_set, vertex_set) in enumerate(deletion_sets):
-            drop_nbhd = _reg_ideal(oracle, g.induced(nbhd_set)[0]) + 1
-            drop_vertex = _reg_ideal(oracle, g.induced(vertex_set)[0])
+        for x in range(g.n):
+            drop_nbhd, drop_vertex = deletion_regs[2 * x] + 1, deletion_regs[2 * x + 1]
             if reg not in (drop_nbhd, drop_vertex):
                 bad.append((x, drop_nbhd, drop_vertex))
         passed = not bad

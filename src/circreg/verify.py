@@ -73,11 +73,13 @@ def chi_report(g: Graph, fields=(2,)) -> dict:
 
 class _Oracle:
     """A suite's one Betti oracle over one field, living as long as the suite
-    call that makes it.  It stores each table it sweeps, by graph, so a
-    repeated graph is swept once, and it hands every sweep it starts one
+    call that makes it.  It stores each graph's table it sweeps, by graph,
+    so a repeated graph is swept once, and it hands every sweep it starts one
     homology memo, so a folded core that recurs across the suite's graphs
-    has its homology computed once.  The sweeps are reached through this
-    module's names, which perfbench/run.py wraps to count verify's tables."""
+    has its homology computed once.  The tables of induced subgraphs are
+    returned to the caller by vertex set, and not stored.  The sweeps are
+    reached through this module's names, which perfbench/run.py wraps to
+    count verify's tables."""
 
     def __init__(self, field):
         self.field = field
@@ -90,11 +92,12 @@ class _Oracle:
             t = self._store[g] = hochster_betti_table(g, self.field, memo=self._memo)
         return t
 
-    def sweep_induced(self, g: Graph, vertex_sets: list) -> None:
-        """Store the tables of g and of each g[W] from one sweep of g."""
-        sets = [range(g.n), *vertex_sets]
-        for vs, t in zip(sets, induced_betti_tables(g, self.field, sets, memo=self._memo)):
-            self._store.setdefault(g.induced(vs)[0], t)
+    def sweep_induced(self, g: Graph, vertex_sets: list) -> list[BettiTable]:
+        """The tables of each g[W], W in *vertex_sets*, in their order, from
+        one sweep of g; g's own table, from the same sweep, is stored."""
+        tables = induced_betti_tables(g, self.field, [range(g.n), *vertex_sets], memo=self._memo)
+        self._store.setdefault(g, tables[0])
+        return tables[1:]
 
 
 def _finish(name: str, params: dict, instances: list[dict]) -> dict:
@@ -351,8 +354,8 @@ def verify_properties(
             right = [e for e in edges if e not in chosen]
             partition = (Graph(g.n, left), Graph(g.n, right))
         comp_sets, deletion_sets = property_vertex_sets(g)
-        oracle.sweep_induced(g, [*comp_sets, *(vs for pair in deletion_sets for vs in pair)])
-        report = property_suite(g, oracle.table, edge_partition=partition)
+        induced = oracle.sweep_induced(g, [*comp_sets, *(vs for pair in deletion_sets for vs in pair)])
+        report = property_suite(g, oracle.table, edge_partition=partition, induced=induced)
         instances.append(
             {
                 "inputs": {"index": idx, "n": g.n, "edges": len(g.edges)},

@@ -246,6 +246,63 @@ class TestDegenerateAndLimits:
         assert t.beta(0, 2) == 6
 
 
+class TestIsolatedVertices:
+    """A subset that holds an isolated vertex is a cone, so the sweep drops
+    the isolated vertices first; the table keeps the graph's vertex count."""
+
+    @pytest.mark.parametrize("field", [2, 3, "Q"])
+    def test_seeded_sample_and_c5_plus_k1_against_the_naive_sweep(self, field):
+        # Each sample graph is a random graph placed on some of n vertices.
+        rng = random.Random(223)
+        graphs = [circulant(5, {1}).disjoint_union(Graph(1)), Graph(6, [(1, 3), (3, 5)])]
+        while len(graphs) < 12:
+            n = rng.randint(3, 8)
+            k = rng.randint(2, n - 1)
+            place = rng.sample(range(n), k)
+            h = random_graph(k, rng.uniform(0.2, 0.8), rng)
+            g = Graph(n, [(place[i], place[j]) for i, j in h.edges])
+            if g.edges:
+                graphs.append(g)
+        for g in graphs:
+            assert not all(g.adj)
+            t = hochster_betti_table(g, field)
+            assert t.n == g.n
+            assert t.entries == naive_ref.betti_entries(g, field), (g.n, sorted(g.edges), field)
+
+    def test_c5_plus_k1_is_swept_by_necklaces(self, monkeypatch):
+        # C5 + K1 has no rotation automorphism; C5, left once K1 is dropped, has.
+        g = circulant(5, {1}).disjoint_union(Graph(1))
+        assert not _rotation_is_automorphism(g)
+        swept = []
+        real = betti_mod._subset_orbit_reps
+        monkeypatch.setattr(
+            betti_mod, "_subset_orbit_reps", lambda h: swept.append(h) or real(h)
+        )
+        t = hochster_betti_table(g, 2)
+        assert swept == [circulant(5, {1})]
+        assert t == BettiTable(6, 2, hochster_betti_table(circulant(5, {1}), 2).entries)
+
+    @pytest.mark.parametrize("field", [2, 3, "Q"])
+    def test_flag_rp2_plus_k1(self, field):
+        # Against the sweep of every subset of all 13 vertices, with no orbit
+        # reduction and no vertex dropped: the fold empties each cone.
+        g = Graph(12, RP2_EDGES).disjoint_union(Graph(1))
+        t = hochster_betti_table(g, field)
+        assert t.n == 13
+        assert t.entries == _sweep_chunk(g.adj, field, [(m, 1) for m in range(1, 1 << 13)])
+        assert t.entries == hochster_betti_table(Graph(12, RP2_EDGES), field).entries
+        expected = {2: (4, 9), 3: (3, 8), "Q": (3, 8)}[field]
+        assert (t.regularity, t.projective_dimension) == expected
+
+    def test_vertex_limit_counts_the_isolated_vertices(self):
+        g = Graph(21, [(0, 1), (1, 2), (2, 3), (3, 4)])
+        with pytest.raises(VertexLimitError) as exc:
+            hochster_betti_table(g, 2)
+        assert str(exc.value) == (
+            "graph has 21 vertices; the sweep is limited to 20 (pass a larger vertex_limit to override)"
+        )
+
+
 class TestDeterminismAndSymmetry:
     def test_workers_identical(self):
         g = moebius(5)
@@ -706,3 +763,44 @@ class TestPropertySuite:
         report = property_suite(circulant(4, {1}), bad_oracle)
         assert not report["passed"]
         assert [c for c in report["checks"] if not c["passed"]]
+
+    def test_handed_tables_give_the_reports_the_oracle_gives(self):
+        # The edge cases above, with the tables of induced_betti_tables
+        # handed in and without them.
+        cases = [
+            (Graph(4, [(0, 1), (2, 3)]), {}),
+            (circulant(4, {1}), {}),
+            (circulant(8, {1, 4}), {}),
+            (path_graph(3), {}),
+            (circulant(8, {1, 3, 4}), {"cover_witness": list(cochordal_split_c4j(2))}),
+            (
+                circulant(6, {1}),
+                {"edge_partition": (Graph(6, [(0, 1), (0, 5), (1, 2)]), Graph(6, [(2, 3), (3, 4), (4, 5)]))},
+            ),
+            (Graph(5), {}),
+            (Graph(3, [(0, 1)]), {}),
+        ]
+        for g, kwargs in cases:
+            comps, deletions = property_vertex_sets(g)
+            sets = [*comps, *(vs for pair in deletions for vs in pair)]
+            tables = induced_betti_tables(g, 2, sets)
+            handed = property_suite(g, oracle2, **kwargs, induced=tables)
+            assert handed == property_suite(g, oracle2, **kwargs), (g.n, sorted(g.edges))
+            if tables:
+                with pytest.raises(ValueError):
+                    property_suite(g, oracle2, **kwargs, induced=tables[:-1])
+
+    def test_handed_tables_decide_edgeless_subgraphs_by_their_edges(self):
+        # The lying oracle gives the empty g[W] of V - N[1] a table of
+        # regularity 0; both routes read it as edgeless, reg 1.
+        def by_size(h):
+            return BettiTable(h.n, 2, {(0, h.n): 1})
+
+        g = path_graph(3)
+        comps, deletions = property_vertex_sets(g)
+        sets = [*comps, *(vs for pair in deletions for vs in pair)]
+        handed = [by_size(g.induced(vs)[0]) for vs in sets]
+        report = property_suite(g, by_size, induced=handed)
+        assert report == property_suite(g, by_size)
+        check = {c["name"]: c for c in report["checks"]}["vertex_deletion_membership"]
+        assert check["detail"] == "reg=3, violations=[(0, 2, 2), (1, 2, 1), (2, 2, 2)]"

@@ -96,6 +96,30 @@ def test_property_reports_are_json_data_and_inapplicable_checks_pass(monkeypatch
         assert all(c["passed"] for c in report["checks"] if not c["applicable"]), report
 
 
+def test_property_suite_builds_the_tables_verify_hands_it(monkeypatch):
+    # The first 40 default properties graphs: verify hands property_suite
+    # the induced tables of one sweep; without them it asks the oracle.
+    calls = []
+    property_suite = verify.property_suite
+
+    def recording(g, oracle, **kwargs):
+        report = property_suite(g, oracle, **kwargs)
+        calls.append((g, kwargs, report))
+        return report
+
+    monkeypatch.setattr(verify, "property_suite", recording)
+    verify.verify_properties(count=40)
+    monkeypatch.undo()
+
+    assert len(calls) == 40
+    oracle = lambda g: hochster_betti_table(g, 2)
+    for g, kwargs, report in calls:
+        comps, deletions = property_vertex_sets(g)
+        assert len(kwargs["induced"]) == len(comps) + 2 * len(deletions)
+        built = property_suite(g, oracle, edge_partition=kwargs["edge_partition"])
+        assert built == report, (g.n, sorted(g.edges))
+
+
 def _digest(report: dict) -> str:
     for rec in report["instances"]:
         rec.pop("wall_ms")
