@@ -36,7 +36,6 @@ from .betti import (
     hochster_betti_table,
     RegDecision,
     decide_regularity,
-    property_suite,
 )
 from .formulas import (
     reg_hat_j,
@@ -46,6 +45,6 @@ from .formulas import (
     bound_family,
     bound_cubic,
 )
-from .verify import run_suite, chi_report
+from .verify import run_suite, chi_report, property_suite
 
 __version__ = "0.1.0"

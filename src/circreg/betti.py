@@ -1,7 +1,6 @@
 """Graded Betti tables of edge ideals by exhaustive subset sweep, the
-derived regularity / projective-dimension invariants, the Euler-sign
-decision procedure, and a property harness for the classical regularity
-facts the package cross-checks.
+derived regularity / projective-dimension invariants, and the Euler-sign
+decision procedure.
 
 The sweep sums, over every vertex subset W, the reduced homology of the
 independence complex restricted to W; the entry (i, j) collects degree
@@ -52,11 +51,11 @@ from array import array
 from collections import Counter
 from dataclasses import asdict, dataclass
 from itertools import compress
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from ._bitops import bits
 from .complexes import _by_size, _list_faces
-from .graphs import Graph, is_cochordal_cover
+from .graphs import Graph
 from .homology import field_name, homology_dims_from_sizes, normalize_field
 
 __all__ = [
@@ -67,8 +66,6 @@ __all__ = [
     "induced_betti_tables",
     "RegDecision",
     "decide_regularity",
-    "property_suite",
-    "property_vertex_sets",
 ]
 
 DEFAULT_VERTEX_LIMIT = 20
@@ -547,141 +544,3 @@ def decide_regularity(n: int, r: int, pd: int, chi: int) -> RegDecision:
     if pd_bound == PD_BOUND_TIGHT or (r % 2 == 0) == (chi > 0):
         return RegDecision(OUTCOME_REGULARITY, r, n, r, pd_bound, chi)
     return RegDecision(OUTCOME_PD, n - r + 1, n, r, pd_bound, chi)
-
-
-# -- property harness ----------------------------------------------------------
-
-
-def _check(name: str, applicable: bool = False, passed: bool = True, detail: str = "") -> dict:
-    """One check of a property report; a check that does not apply passes."""
-    return {"name": name, "applicable": applicable, "passed": passed, "detail": detail}
-
-
-def _reg_ideal(g: Graph, vertex_set: Sequence[int], table: BettiTable) -> int:
-    """reg of g[W], W = *vertex_set*, from *table*, the table of g[W].
-
-    An edgeless g[W] carries the zero ideal; reg(R/0) = 0 gives the value 1
-    under the reg(I) = reg(R/I) + 1 normalization used throughout.  Whether
-    g[W] has an edge is read off g's adjacency, not off the table."""
-    w = sum(1 << v for v in vertex_set)
-    if not any(g.adj[v] & w for v in vertex_set):
-        return 1
-    return table.regularity
-
-
-def property_vertex_sets(
-    g: Graph,
-) -> tuple[list[list[int]], list[tuple[list[int], list[int]]]]:
-    """The vertex sets W whose induced subgraphs g[W] property_suite reads
-    tables of: the connected components when there are at least two, and
-    the pair (V - N[x], V - {x}) for each vertex x.  Both lists are empty
-    for an edgeless graph, whose checks read no table."""
-    if not g.edges:
-        return [], []
-    comps = g.connected_components()
-    deletions = []
-    for x in range(g.n):
-        dropped = g.adj[x] | (1 << x)
-        deletions.append((
-            [v for v in range(g.n) if not dropped >> v & 1],
-            [v for v in range(g.n) if v != x],
-        ))
-    return (comps if len(comps) >= 2 else []), deletions
-
-
-def property_suite(
-    g: Graph,
-    oracle: Callable[[Graph], BettiTable],
-    cover_witness: Optional[Sequence[Graph]] = None,
-    edge_partition: Optional[tuple[Graph, Graph]] = None,
-    *,
-    induced: Optional[Sequence[BettiTable]] = None,
-) -> dict:
-    """Check the classical regularity facts on one graph against the oracle.
-
-    The oracle maps a graph to its Betti table (normally the subset sweep);
-    every check that applies is evaluated exactly and failures are reported,
-    not raised.  The report is plain JSON data: the graph, the checks (each
-    with name, applicable, passed and detail) and whether all passed.
-
-    *induced*, when given, holds the tables of the induced subgraphs g[W],
-    one per vertex set of property_vertex_sets(g) in its order: the
-    components, then V - N[x] and V - {x} for each vertex x in turn, as
-    induced_betti_tables gives them from one sweep of g; a list of another
-    length is a ValueError.  Without it each is oracle(g.induced(W)[0]).
-    """
-    table = oracle(g)
-    checks: list[dict] = []
-    has_edges = bool(g.edges)
-    reg = table.regularity if has_edges else None
-    comp_sets, deletion_sets = property_vertex_sets(g)
-    vertex_sets = [*comp_sets, *(vs for pair in deletion_sets for vs in pair)]
-    if induced is None:
-        induced = [oracle(g.induced(vs)[0]) for vs in vertex_sets]
-    regs = [_reg_ideal(g, vs, t) for vs, t in zip(vertex_sets, induced, strict=True)]
-    comp_regs, deletion_regs = regs[:len(comp_sets)], regs[len(comp_sets):]
-
-    applicable = bool(comp_sets)
-    if applicable:
-        total = sum(r - 1 for r in comp_regs)
-        passed = reg - 1 == total
-        detail = f"reg(R/I)={reg - 1}, component sum={total}"
-    else:
-        passed, detail = True, ""
-    checks.append(_check("disjoint_union_additivity", applicable, passed, detail))
-
-    if has_edges:
-        chordal_c = g.complement().is_chordal()
-        passed = (reg == 2) == chordal_c
-        detail = f"reg={reg}, complement chordal={chordal_c}"
-        checks.append(_check("reg2_iff_complement_chordal", True, passed, detail))
-    else:
-        checks.append(_check("reg2_iff_complement_chordal"))
-
-    if cover_witness is not None and has_edges:
-        try:
-            valid = is_cochordal_cover(g, cover_witness)
-        except ValueError as exc:
-            checks.append(_check("cochordal_cover_bound", True, False, str(exc)))
-        else:
-            passed = valid and reg <= len(cover_witness) + 1
-            detail = f"cover valid={valid}, reg={reg}, parts={len(cover_witness)}"
-            checks.append(_check("cochordal_cover_bound", True, passed, detail))
-    else:
-        checks.append(_check("cochordal_cover_bound"))
-
-    applicable = has_edges and g.is_gap_free() and g.is_claw_free()
-    passed = reg <= 3 if applicable else True
-    checks.append(
-        _check("gapfree_clawfree_reg_at_most_3", applicable, passed, f"reg={reg}" if applicable else "")
-    )
-
-    if has_edges:
-        bad = []
-        for x in range(g.n):
-            drop_nbhd, drop_vertex = deletion_regs[2 * x] + 1, deletion_regs[2 * x + 1]
-            if reg not in (drop_nbhd, drop_vertex):
-                bad.append((x, drop_nbhd, drop_vertex))
-        passed = not bad
-        detail = f"reg={reg}, violations={bad}" if bad else f"reg={reg}, all {g.n} vertices"
-        checks.append(_check("vertex_deletion_membership", True, passed, detail))
-    else:
-        checks.append(_check("vertex_deletion_membership"))
-
-    if edge_partition is not None:
-        h, k = edge_partition
-        applicable = bool(h.edges) and bool(k.edges) and has_edges
-        if applicable:
-            th, tk = oracle(h), oracle(k)
-            rh, rk = th.regularity - 1, tk.regularity - 1
-            ph, pk = th.projective_dimension, tk.projective_dimension
-            pg = table.projective_dimension
-            passed = (reg - 1 <= rh + rk) and (pg <= ph + pk + 1)
-            detail = f"reg(R/I)={reg - 1}<={rh}+{rk}; pd={pg}<={ph}+{pk}+1"
-        else:
-            passed, detail = True, ""
-        checks.append(_check("edge_split_subadditivity", applicable, passed, detail))
-    else:
-        checks.append(_check("edge_split_subadditivity"))
-
-    return {"graph": g.to_json_dict(), "passed": all(c["passed"] for c in checks), "checks": checks}

@@ -1,7 +1,8 @@
 """Verification sweeps: closed forms and bounds against the brute-force
 Betti oracle, polynomial identities against enumeration, and randomized
 property checks.  These back the `verify` CLI command and the acceptance
-suite.
+suite.  The property harness, property_suite, checks the classical
+regularity facts on one graph against the tables of one sweep of it.
 
 Every suite returns a plain-dict report: instance records in a fixed
 enumeration order, each with inputs, expected and oracle values, and a
@@ -13,7 +14,7 @@ from __future__ import annotations
 
 import random
 import time
-from typing import Optional
+from typing import Optional, Sequence
 
 from .betti import (
     BettiTable,
@@ -21,8 +22,6 @@ from .betti import (
     decide_regularity,
     hochster_betti_table,
     induced_betti_tables,
-    property_suite,
-    property_vertex_sets,
 )
 from .complexes import (
     euler_via_independence,
@@ -45,13 +44,14 @@ from .graphs import (
     family_a,
     family_b,
     family_d,
+    is_cochordal_cover,
     moebius,
     prism,
     random_graph,
 )
 from .homology import euler_from_homology, field_name
 
-__all__ = ["run_suite", "SUITES", "chi_report"]
+__all__ = ["run_suite", "SUITES", "chi_report", "property_suite"]
 
 DEFAULT_SEED = 1729
 
@@ -98,6 +98,120 @@ class _Oracle:
         tables = induced_betti_tables(g, self.field, [range(g.n), *vertex_sets], memo=self._memo)
         self._store.setdefault(g, tables[0])
         return tables[1:]
+
+
+def _check(name: str, applicable: bool = False, passed: bool = True, detail: str = "") -> dict:
+    """One check of a property report; a check that does not apply passes."""
+    return {"name": name, "applicable": applicable, "passed": passed, "detail": detail}
+
+
+def _reg_ideal(table: BettiTable) -> int:
+    """reg of the ideal whose table is *table*.  An edgeless graph carries
+    the zero ideal; reg(R/0) = 0 gives the value 1 under the
+    reg(I) = reg(R/I) + 1 normalization used throughout."""
+    return 1 if table.zero_ideal else table.regularity
+
+
+def property_suite(
+    g: Graph,
+    oracle: _Oracle,
+    cover_witness: Optional[Sequence[Graph]] = None,
+    edge_partition: Optional[tuple[Graph, Graph]] = None,
+) -> dict:
+    """Check the classical regularity facts on one graph against the oracle.
+
+    The oracle is a suite's _Oracle, or any object with its two methods:
+    table(h), the Betti table of a graph h, and sweep_induced(g, vertex_sets),
+    the tables of the induced subgraphs g[W] in the order of vertex_sets,
+    an edgeless g[W] giving the zero-ideal table.  The induced subgraphs
+    read are the connected components when there are at least two, then
+    V - N[x] and V - {x} for each vertex x; an edgeless g reads none.  Their
+    tables come from one sweep_induced call, and g's own table, through
+    table(g), from the same sweep.  The parts of the edge split go through
+    table(h).  Every check that applies is evaluated exactly and failures
+    are reported, not raised.  The report is plain JSON data: the graph,
+    the checks (each with name, applicable, passed and detail) and whether
+    all passed.
+    """
+    has_edges = bool(g.edges)
+    comps, deletions = [], []
+    if has_edges:
+        comps = g.connected_components()
+        comps = comps if len(comps) >= 2 else []
+        for x in range(g.n):
+            dropped = g.adj[x] | (1 << x)
+            deletions.append([v for v in range(g.n) if not dropped >> v & 1])
+            deletions.append([v for v in range(g.n) if v != x])
+    regs = [_reg_ideal(t) for t in oracle.sweep_induced(g, [*comps, *deletions])]
+    comp_regs, deletion_regs = regs[:len(comps)], regs[len(comps):]
+    table = oracle.table(g)
+    checks: list[dict] = []
+    reg = table.regularity if has_edges else None
+
+    applicable = bool(comps)
+    if applicable:
+        total = sum(r - 1 for r in comp_regs)
+        passed = reg - 1 == total
+        detail = f"reg(R/I)={reg - 1}, component sum={total}"
+    else:
+        passed, detail = True, ""
+    checks.append(_check("disjoint_union_additivity", applicable, passed, detail))
+
+    if has_edges:
+        chordal_c = g.complement().is_chordal()
+        passed = (reg == 2) == chordal_c
+        detail = f"reg={reg}, complement chordal={chordal_c}"
+        checks.append(_check("reg2_iff_complement_chordal", True, passed, detail))
+    else:
+        checks.append(_check("reg2_iff_complement_chordal"))
+
+    if cover_witness is not None and has_edges:
+        try:
+            valid = is_cochordal_cover(g, cover_witness)
+        except ValueError as exc:
+            checks.append(_check("cochordal_cover_bound", True, False, str(exc)))
+        else:
+            passed = valid and reg <= len(cover_witness) + 1
+            detail = f"cover valid={valid}, reg={reg}, parts={len(cover_witness)}"
+            checks.append(_check("cochordal_cover_bound", True, passed, detail))
+    else:
+        checks.append(_check("cochordal_cover_bound"))
+
+    applicable = has_edges and g.is_gap_free() and g.is_claw_free()
+    passed = reg <= 3 if applicable else True
+    checks.append(
+        _check("gapfree_clawfree_reg_at_most_3", applicable, passed, f"reg={reg}" if applicable else "")
+    )
+
+    if has_edges:
+        bad = []
+        for x in range(g.n):
+            drop_nbhd, drop_vertex = deletion_regs[2 * x] + 1, deletion_regs[2 * x + 1]
+            if reg not in (drop_nbhd, drop_vertex):
+                bad.append((x, drop_nbhd, drop_vertex))
+        passed = not bad
+        detail = f"reg={reg}, violations={bad}" if bad else f"reg={reg}, all {g.n} vertices"
+        checks.append(_check("vertex_deletion_membership", True, passed, detail))
+    else:
+        checks.append(_check("vertex_deletion_membership"))
+
+    if edge_partition is not None:
+        h, k = edge_partition
+        applicable = bool(h.edges) and bool(k.edges) and has_edges
+        if applicable:
+            th, tk = oracle.table(h), oracle.table(k)
+            rh, rk = th.regularity - 1, tk.regularity - 1
+            ph, pk = th.projective_dimension, tk.projective_dimension
+            pg = table.projective_dimension
+            passed = (reg - 1 <= rh + rk) and (pg <= ph + pk + 1)
+            detail = f"reg(R/I)={reg - 1}<={rh}+{rk}; pd={pg}<={ph}+{pk}+1"
+        else:
+            passed, detail = True, ""
+        checks.append(_check("edge_split_subadditivity", applicable, passed, detail))
+    else:
+        checks.append(_check("edge_split_subadditivity"))
+
+    return {"graph": g.to_json_dict(), "passed": all(c["passed"] for c in checks), "checks": checks}
 
 
 def _finish(name: str, params: dict, instances: list[dict]) -> dict:
@@ -353,9 +467,7 @@ def verify_properties(
             chosen = set(left)
             right = [e for e in edges if e not in chosen]
             partition = (Graph(g.n, left), Graph(g.n, right))
-        comp_sets, deletion_sets = property_vertex_sets(g)
-        induced = oracle.sweep_induced(g, [*comp_sets, *(vs for pair in deletion_sets for vs in pair)])
-        report = property_suite(g, oracle.table, edge_partition=partition, induced=induced)
+        report = property_suite(g, oracle, edge_partition=partition)
         instances.append(
             {
                 "inputs": {"index": idx, "n": g.n, "edges": len(g.edges)},

@@ -5,7 +5,8 @@ Everything here works by direct enumeration and textbook row reduction
 the pruning, symmetry, bit-packing or memoization the library uses, so the
 two routes to each number share no code beyond the definitions.
 complex_from_facets only builds the library's complex from vertex lists, and
-complete_graph and path_graph build the graphs K_n and P_n, as inputs of
+complete_graph and path_graph build the graphs K_n and P_n, and RP2_EDGES
+lists the edges of a graph whose tables differ by field, as inputs of
 checks.  The last three sections are the exceptions.  One runs
 the rounds of the sweep's fold on one subset at a time, with sets, as the
 reference the bit-sliced fold, which folds every subset of a sweep at once,
@@ -34,6 +35,16 @@ def complete_graph(n: int) -> Graph:
 
 def path_graph(n: int) -> Graph:
     return Graph(n, [(i, i + 1) for i in range(n - 1)])
+
+
+# 1-skeleton complement of a 12-vertex flag triangulation of RP^2 (the
+# 6-vertex RP^2 with edges subdivided until no empty triangle remains).
+RP2_EDGES = (
+    (0, 1), (0, 2), (0, 5), (0, 11), (1, 5), (1, 6), (1, 7), (1, 10), (2, 3),
+    (2, 8), (2, 11), (3, 6), (3, 8), (3, 9), (3, 10), (4, 5), (4, 7), (4, 8),
+    (4, 9), (4, 10), (4, 11), (5, 9), (5, 10), (6, 7), (6, 9), (6, 10),
+    (6, 11), (7, 8), (7, 9), (7, 11), (8, 10), (9, 11), (10, 11),
+)
 
 
 def independent_mask(g: Graph, mask: int) -> bool:

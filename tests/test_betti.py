@@ -1,6 +1,5 @@
 """Betti tables from the subset sweep, checked entry-by-entry against the
-no-shortcut enumeration oracle, plus the decision procedure and the
-property harness."""
+no-shortcut enumeration oracle, plus the decision procedure."""
 
 import json
 import random
@@ -27,8 +26,6 @@ from circreg.betti import (
     decide_regularity,
     hochster_betti_table,
     induced_betti_tables,
-    property_suite,
-    property_vertex_sets,
 )
 from circreg.cli import main, parse_graph_spec
 from circreg.complexes import euler_via_independence, independence_complex
@@ -36,27 +33,12 @@ from circreg.formulas import bound_cubic
 from circreg.graphs import (
     Graph,
     circulant,
-    cochordal_split_c4j,
     moebius,
     random_graph,
 )
 from circreg.homology import reduced_homology_dims
 from circreg.verify import _cubic_ladders
-from naive_ref import complete_graph, path_graph
-
-
-def oracle2(g):
-    return hochster_betti_table(g, 2)
-
-
-# 1-skeleton complement of a 12-vertex flag triangulation of RP^2 (the
-# 6-vertex RP^2 with edges subdivided until no empty triangle remains).
-RP2_EDGES = (
-    (0, 1), (0, 2), (0, 5), (0, 11), (1, 5), (1, 6), (1, 7), (1, 10), (2, 3),
-    (2, 8), (2, 11), (3, 6), (3, 8), (3, 9), (3, 10), (4, 5), (4, 7), (4, 8),
-    (4, 9), (4, 10), (4, 11), (5, 9), (5, 10), (6, 7), (6, 9), (6, 10),
-    (6, 11), (7, 8), (7, 9), (7, 11), (8, 10), (9, 11), (10, 11),
-)
+from naive_ref import RP2_EDGES, complete_graph, path_graph
 
 
 class TestKnownTables:
@@ -690,117 +672,3 @@ class TestDecision:
         d = decide_regularity(4, 2, 3, chi)
         assert d.is_regularity and d.value == hochster_betti_table(g).regularity
 
-
-class TestPropertySuite:
-    def test_two_disjoint_edges_additivity(self):
-        g = Graph(4, [(0, 1), (2, 3)])
-        report = property_suite(g, oracle2)
-        check = {c["name"]: c for c in report["checks"]}["disjoint_union_additivity"]
-        assert check["applicable"] and check["passed"]
-
-    def test_c4_froberg(self):
-        report = property_suite(circulant(4, {1}), oracle2)
-        check = {c["name"]: c for c in report["checks"]}["reg2_iff_complement_chordal"]
-        assert check["applicable"] and check["passed"]
-
-    def test_c8_14_vertex_deletion(self):
-        g = circulant(8, {1, 4})
-        t = oracle2(g)
-        assert t.regularity == 3
-        a = oracle2(g.without_closed_neighborhood(0)).regularity + 1
-        b = oracle2(g.without_vertex(0)).regularity
-        assert t.regularity in (a, b)
-        report = property_suite(g, oracle2)
-        check = {c["name"]: c for c in report["checks"]}["vertex_deletion_membership"]
-        assert check["applicable"] and check["passed"]
-
-    def test_vertex_set_order(self):
-        g = Graph(4, [(0, 1), (2, 3)])
-        comps, deletions = property_vertex_sets(g)
-        assert comps == [[0, 1], [2, 3]]
-        assert deletions == [  # (V - N[x], V - {x}) for each x
-            ([2, 3], [1, 2, 3]),
-            ([2, 3], [0, 2, 3]),
-            ([0, 1], [0, 1, 3]),
-            ([0, 1], [0, 1, 2]),
-        ]
-        assert property_vertex_sets(path_graph(3)) == (
-            [], [([2], [1, 2]), ([], [0, 2]), ([0], [0, 1])]
-        )
-        assert property_vertex_sets(Graph(3)) == ([], [])
-
-    def test_vertex_deletion_reads_the_right_subgraphs(self):
-        # An oracle whose regularity is the vertex count tells G - N[x]
-        # from G - x in the violations it reports.
-        def by_size(h):
-            return BettiTable(h.n, 2, {(0, h.n): 1})
-
-        report = property_suite(path_graph(3), by_size)
-        check = {c["name"]: c for c in report["checks"]}["vertex_deletion_membership"]
-        assert not check["passed"]
-        assert check["detail"] == "reg=3, violations=[(0, 2, 2), (1, 2, 1), (2, 2, 2)]"
-
-    def test_cover_witness_bound(self):
-        g = circulant(8, {1, 3, 4})
-        report = property_suite(g, oracle2, cover_witness=list(cochordal_split_c4j(2)))
-        check = {c["name"]: c for c in report["checks"]}["cochordal_cover_bound"]
-        assert check["applicable"] and check["passed"]
-
-    def test_edge_partition_subadditivity(self):
-        g = circulant(6, {1})
-        edges = sorted(g.edges)
-        part = (Graph(6, edges[:3]), Graph(6, edges[3:]))
-        report = property_suite(g, oracle2, edge_partition=part)
-        check = {c["name"]: c for c in report["checks"]}["edge_split_subadditivity"]
-        assert check["applicable"] and check["passed"]
-
-    def test_failures_are_reported_not_raised(self):
-        # Lying oracle: forces a visible failure entry.
-        def bad_oracle(g):
-            t = hochster_betti_table(g, 2)
-            return BettiTable(t.n, 2, {(0, 5): 1})
-
-        report = property_suite(circulant(4, {1}), bad_oracle)
-        assert not report["passed"]
-        assert [c for c in report["checks"] if not c["passed"]]
-
-    def test_handed_tables_give_the_reports_the_oracle_gives(self):
-        # The edge cases above, with the tables of induced_betti_tables
-        # handed in and without them.
-        cases = [
-            (Graph(4, [(0, 1), (2, 3)]), {}),
-            (circulant(4, {1}), {}),
-            (circulant(8, {1, 4}), {}),
-            (path_graph(3), {}),
-            (circulant(8, {1, 3, 4}), {"cover_witness": list(cochordal_split_c4j(2))}),
-            (
-                circulant(6, {1}),
-                {"edge_partition": (Graph(6, [(0, 1), (0, 5), (1, 2)]), Graph(6, [(2, 3), (3, 4), (4, 5)]))},
-            ),
-            (Graph(5), {}),
-            (Graph(3, [(0, 1)]), {}),
-        ]
-        for g, kwargs in cases:
-            comps, deletions = property_vertex_sets(g)
-            sets = [*comps, *(vs for pair in deletions for vs in pair)]
-            tables = induced_betti_tables(g, 2, sets)
-            handed = property_suite(g, oracle2, **kwargs, induced=tables)
-            assert handed == property_suite(g, oracle2, **kwargs), (g.n, sorted(g.edges))
-            if tables:
-                with pytest.raises(ValueError):
-                    property_suite(g, oracle2, **kwargs, induced=tables[:-1])
-
-    def test_handed_tables_decide_edgeless_subgraphs_by_their_edges(self):
-        # The lying oracle gives the empty g[W] of V - N[1] a table of
-        # regularity 0; both routes read it as edgeless, reg 1.
-        def by_size(h):
-            return BettiTable(h.n, 2, {(0, h.n): 1})
-
-        g = path_graph(3)
-        comps, deletions = property_vertex_sets(g)
-        sets = [*comps, *(vs for pair in deletions for vs in pair)]
-        handed = [by_size(g.induced(vs)[0]) for vs in sets]
-        report = property_suite(g, by_size, induced=handed)
-        assert report == property_suite(g, by_size)
-        check = {c["name"]: c for c in report["checks"]}["vertex_deletion_membership"]
-        assert check["detail"] == "reg=3, violations=[(0, 2, 2), (1, 2, 1), (2, 2, 2)]"

@@ -1,11 +1,14 @@
 """The properties suite reads its tables off one sweep per graph; every
 seeded table must equal a separate sweep of its induced graph, and the
 default properties, theorem1, theorem2 and lemmas reports must not change.
-A suite's sweeps share one homology memo that lives as long as the suite
-call, and sharing it changes no table.  Each properties report is plain
-JSON data, and a check that does not apply passes.  An instance whose
-Euler-characteristic routes disagree fails, and a suite whose largest graph
-is over the sweep's vertex limit refuses before it sweeps."""
+The property harness checks the classical regularity facts on one graph;
+it reads every table of the graph and its induced subgraphs from one
+sweep, reached through this module's names, and tables that differ by
+field pass it.  A suite's sweeps share one homology memo that lives as long
+as the suite call, and sharing it changes no table.  Each properties report
+is plain JSON data, and a check that does not apply passes.  An instance
+whose Euler-characteristic routes disagree fails, and a suite whose largest
+graph is over the sweep's vertex limit refuses before it sweeps."""
 
 import hashlib
 import json
@@ -16,8 +19,9 @@ import pytest
 import circreg.betti as betti_mod
 import circreg.verify as verify
 from circreg.cli import main
-from circreg.betti import VertexLimitError, hochster_betti_table, property_vertex_sets
-from circreg.graphs import Graph, random_graph
+from circreg.betti import BettiTable, VertexLimitError, hochster_betti_table
+from circreg.graphs import Graph, circulant, cochordal_split_c4j, random_graph
+from naive_ref import RP2_EDGES, path_graph
 
 # sha256 of the default properties report (count 200, nmax 9, seed 1729,
 # GF(2)) with the wall_ms fields removed, as the suite produced it when it
@@ -64,8 +68,7 @@ def test_properties_seeded_tables_equal_separate_sweeps(monkeypatch):
 
     assert len(seeded) == 200
     for g, _field, vertex_sets, tables in seeded:
-        comps, deletions = property_vertex_sets(g)
-        assert vertex_sets == [list(range(g.n)), *comps, *(vs for pair in deletions for vs in pair)]
+        assert vertex_sets == [list(range(g.n)), *_harness_vertex_sets(g)]
         assert len(tables) == len(vertex_sets)
         for vs, t in zip(vertex_sets, tables):
             # The suite's default field is GF(2); equality compares fields too.
@@ -88,7 +91,7 @@ def test_property_reports_are_json_data_and_inapplicable_checks_pass(monkeypatch
 
     monkeypatch.setattr(verify, "property_suite", recording)
     verify.verify_properties(count=20)
-    oracle = lambda g: hochster_betti_table(g, 2)
+    oracle = verify._Oracle(2)
     reports += [property_suite(Graph(5), oracle), property_suite(Graph(3, [(0, 1)]), oracle)]
     assert len(reports) == 22
     for report in reports:
@@ -96,28 +99,167 @@ def test_property_reports_are_json_data_and_inapplicable_checks_pass(monkeypatch
         assert all(c["passed"] for c in report["checks"] if not c["applicable"]), report
 
 
-def test_property_suite_builds_the_tables_verify_hands_it(monkeypatch):
-    # The first 40 default properties graphs: verify hands property_suite
-    # the induced tables of one sweep; without them it asks the oracle.
-    calls = []
-    property_suite = verify.property_suite
+def _harness_vertex_sets(g: Graph) -> list[list[int]]:
+    """The vertex sets W whose g[W] the harness reads, in its order: the
+    components when there are at least two, then V - N[x] and V - {x} for
+    each vertex x; none for an edgeless g."""
+    if not g.edges:
+        return []
+    comps = g.connected_components()
+    sets = comps if len(comps) >= 2 else []
+    for x in range(g.n):
+        sets.append(sorted(set(range(g.n)) - {x} - set(g.neighbors(x))))
+        sets.append([v for v in range(g.n) if v != x])
+    return sets
 
-    def recording(g, oracle, **kwargs):
-        report = property_suite(g, oracle, **kwargs)
-        calls.append((g, kwargs, report))
-        return report
 
-    monkeypatch.setattr(verify, "property_suite", recording)
-    verify.verify_properties(count=40)
+def test_harness_sweeps_through_verify_names(monkeypatch):
+    # perfbench wraps verify.hochster_betti_table and
+    # verify.induced_betti_tables to count the tables verify sweeps; a
+    # harness that called betti's names directly would go uncounted.
+    events = []  # ("graph" | "table" | "induced", graph[, vertex sets])
+    table, induced, property_suite = (
+        verify.hochster_betti_table, verify.induced_betti_tables, verify.property_suite
+    )
+
+    def recording_table(g, field, **kwargs):
+        events.append(("table", g))
+        return table(g, field, **kwargs)
+
+    def recording_induced(g, field, vertex_sets, **kwargs):
+        vertex_sets = [list(vs) for vs in vertex_sets]
+        events.append(("induced", g, vertex_sets))
+        return induced(g, field, vertex_sets, **kwargs)
+
+    def recording_suite(g, *args, **kwargs):
+        events.append(("graph", g))
+        return property_suite(g, *args, **kwargs)
+
+    monkeypatch.setattr(verify, "hochster_betti_table", recording_table)
+    monkeypatch.setattr(verify, "induced_betti_tables", recording_induced)
+    monkeypatch.setattr(verify, "property_suite", recording_suite)
+    assert verify.verify_properties(count=40)["ok"]
     monkeypatch.undo()
 
-    assert len(calls) == 40
-    oracle = lambda g: hochster_betti_table(g, 2)
-    for g, kwargs, report in calls:
-        comps, deletions = property_vertex_sets(g)
-        assert len(kwargs["induced"]) == len(comps) + 2 * len(deletions)
-        built = property_suite(g, oracle, edge_partition=kwargs["edge_partition"])
-        assert built == report, (g.n, sorted(g.edges))
+    starts = [i for i, e in enumerate(events) if e[0] == "graph"]
+    assert len(starts) == 40
+    for start, end in zip(starts, [*starts[1:], len(events)]):
+        g = events[start][1]
+        calls = events[start + 1:end]
+        [sweep] = [e for e in calls if e[0] == "induced"]
+        assert sweep[1] == g
+        assert sweep[2] == [list(range(g.n)), *_harness_vertex_sets(g)], sorted(g.edges)
+        assert all(e[1] != g for e in calls if e[0] == "table"), sorted(g.edges)
+
+
+class _LyingOracle:
+    """An oracle whose table of a graph h is *fake*(h).  Like the sweep, it
+    gives an edgeless induced subgraph the zero-ideal table."""
+
+    def __init__(self, fake):
+        self.table = fake
+
+    def sweep_induced(self, g, vertex_sets):
+        subs = [g.induced(vs)[0] for vs in vertex_sets]
+        return [self.table(h) if h.edges else BettiTable(h.n, 2, {}) for h in subs]
+
+
+def _checks(report: dict) -> dict:
+    return {c["name"]: c for c in report["checks"]}
+
+
+class TestPropertySuite:
+    def test_two_disjoint_edges_additivity(self):
+        g = Graph(4, [(0, 1), (2, 3)])
+        check = _checks(verify.property_suite(g, verify._Oracle(2)))["disjoint_union_additivity"]
+        assert check["applicable"] and check["passed"]
+
+    def test_c4_froberg(self):
+        report = verify.property_suite(circulant(4, {1}), verify._Oracle(2))
+        check = _checks(report)["reg2_iff_complement_chordal"]
+        assert check["applicable"] and check["passed"]
+
+    def test_c8_14_vertex_deletion(self):
+        g = circulant(8, {1, 4})
+        t = hochster_betti_table(g, 2)
+        assert t.regularity == 3
+        a = hochster_betti_table(g.without_closed_neighborhood(0), 2).regularity + 1
+        b = hochster_betti_table(g.without_vertex(0), 2).regularity
+        assert t.regularity in (a, b)
+        check = _checks(verify.property_suite(g, verify._Oracle(2)))["vertex_deletion_membership"]
+        assert check["applicable"] and check["passed"]
+
+    def test_vertex_set_order(self):
+        swept = []
+
+        class Recording(verify._Oracle):
+            def sweep_induced(self, g, vertex_sets):
+                swept.append(vertex_sets)
+                return super().sweep_induced(g, vertex_sets)
+
+        for g in [Graph(4, [(0, 1), (2, 3)]), path_graph(3), Graph(3)]:
+            verify.property_suite(g, Recording(2))
+        assert swept == [
+            # The components, then V - N[x] and V - {x} for each x.
+            [[0, 1], [2, 3], [2, 3], [1, 2, 3], [2, 3], [0, 2, 3], [0, 1], [0, 1, 3], [0, 1], [0, 1, 2]],
+            [[2], [1, 2], [], [0, 2], [0], [0, 1]],
+            [],
+        ]
+
+    def test_vertex_deletion_reads_the_right_subgraphs(self):
+        # An oracle whose regularity is the vertex count tells G - N[x]
+        # from G - x in the violations it reports.
+        oracle = _LyingOracle(lambda h: BettiTable(h.n, 2, {(0, h.n): 1}))
+        check = _checks(verify.property_suite(path_graph(3), oracle))["vertex_deletion_membership"]
+        assert not check["passed"]
+        assert check["detail"] == "reg=3, violations=[(0, 2, 2), (1, 2, 1), (2, 2, 2)]"
+
+    def test_cover_witness_bound(self):
+        g = circulant(8, {1, 3, 4})
+        report = verify.property_suite(g, verify._Oracle(2), cover_witness=list(cochordal_split_c4j(2)))
+        check = _checks(report)["cochordal_cover_bound"]
+        assert check["applicable"] and check["passed"]
+
+    def test_edge_partition_subadditivity(self):
+        g = circulant(6, {1})
+        edges = sorted(g.edges)
+        part = (Graph(6, edges[:3]), Graph(6, edges[3:]))
+        report = verify.property_suite(g, verify._Oracle(2), edge_partition=part)
+        check = _checks(report)["edge_split_subadditivity"]
+        assert check["applicable"] and check["passed"]
+
+    def test_failures_are_reported_not_raised(self):
+        # Lying oracle: forces a visible failure entry.
+        oracle = _LyingOracle(lambda h: BettiTable(h.n, 2, {(0, 5): 1}))
+        report = verify.property_suite(circulant(4, {1}), oracle)
+        assert not report["passed"]
+        assert [c for c in report["checks"] if not c["passed"]]
+
+    @pytest.mark.parametrize("field, reg", [(2, 5), (3, 4), ("Q", 4)])
+    def test_flag_rp2_plus_k2_over_each_field(self, field, reg):
+        # RP^2's tables differ by field (reg 4 over GF(2), 3 over GF(3) and
+        # Q); with K2 beside it, every check passes on each field's tables.
+        g = Graph(12, RP2_EDGES).disjoint_union(Graph(2, [(0, 1)]))
+        report = verify.property_suite(g, verify._Oracle(field))
+        assert report["passed"]
+        checks = _checks(report)
+        assert checks["disjoint_union_additivity"]["applicable"]
+        assert checks["disjoint_union_additivity"]["detail"] == (
+            f"reg(R/I)={reg - 1}, component sum={reg - 1}"
+        )
+        assert checks["vertex_deletion_membership"]["detail"] == f"reg={reg}, all 14 vertices"
+
+    def test_induced_tables_of_another_field_fail_additivity(self):
+        # g's table over Q, its components' over GF(2): RP^2's reg(R/I) is
+        # 2 over Q and 3 over GF(2).
+        class MixedFields(verify._Oracle):
+            def sweep_induced(self, g, vertex_sets):
+                return verify._Oracle(2).sweep_induced(g, vertex_sets)
+
+        g = Graph(12, RP2_EDGES).disjoint_union(Graph(2, [(0, 1)]))
+        check = _checks(verify.property_suite(g, MixedFields("Q")))["disjoint_union_additivity"]
+        assert check["applicable"] and not check["passed"]
+        assert check["detail"] == "reg(R/I)=3, component sum=4"
 
 
 def _digest(report: dict) -> str:
