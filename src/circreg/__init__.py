@@ -26,7 +26,6 @@ from .complexes import (
 from .homology import (
     RATIONALS,
     normalize_field,
-    reduced_homology_dims,
     euler_from_homology,
 )
 from .betti import (

@@ -367,8 +367,7 @@ def _core_homology(adj: Sequence[int], core: int, field, memo: dict) -> dict[int
     if dims is None:
         w = min(verts, key=lambda v: (adj[v] & core).bit_count())
         near = adj[w] & core
-        # A face's state is the core vertices adjacent to none of its members.
-        faces, _ = _list_faces(core, [(1 << v, 1 << v, ~adj[v]) for v in verts if v != w])
+        faces = _list_faces(adj, core & ~(1 << w))
         sizes = _by_size([f for f in faces if f & near])
         dims = {d: v for d, v in homology_dims_from_sizes(sizes, field).items() if v}
         memo[key] = memo[_relabelled(adj, core, verts[::-1])] = dims

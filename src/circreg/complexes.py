@@ -1,17 +1,15 @@
 """Independence complexes, f-vectors, independence polynomials, and a
 transfer-matrix evaluator for the cubic-ladder independence polynomials.
 
-A complex stores its facets as vertex bitmasks.  Two degenerate states are
-kept distinct: the void complex (no faces at all, facets == ()) and the
-complex whose only face is the empty set (facets == (0,)).  One routine,
-_list_faces, lists faces: from the facets for faces_by_size, and from the
-graph for independence_complex and the Betti sweep's cores.
+A complex stores its faces as vertex bitmasks, grouped by size, and always
+holds the empty face.  One routine, _list_faces, lists the independent sets
+of a graph, for independence_complex and the Betti sweep's cores.
 independent_set_counts counts independent sets without listing them.
 """
 
 from __future__ import annotations
 
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from ._bitops import bits
 from .graphs import Graph
@@ -115,95 +113,52 @@ class IntPoly:
 
 
 class SimplicialComplex:
-    """Downward-closed face family on 0..n-1, stored by its facets."""
+    """Downward-closed face family on 0..n-1, stored as its faces: masks
+    grouped by cardinality (index 0 = the empty face), each group ascending.
+    A list without the empty face is rejected."""
 
-    __slots__ = ("n", "facets")
+    __slots__ = ("n", "_sizes")
 
-    def __init__(self, n: int, facet_masks: Iterable[int] = ()):
-        if n < 0:
-            raise ValueError("vertex count must be non-negative")
-        cand = sorted(set(facet_masks), key=lambda m: (m.bit_count(), m), reverse=True)
-        kept: list[int] = []
-        for m in cand:
-            if m >> n:
-                raise ValueError("facet mentions a vertex outside 0..n-1")
-            if not any(m & ~f == 0 for f in kept):
-                kept.append(m)
+    def __init__(self, n: int, sizes: list[list[int]]):
+        if sizes[:1] != [[0]]:
+            raise ValueError("a complex must hold the empty face")
         self.n = n
-        self.facets = tuple(sorted(kept))
-
-    @property
-    def is_void(self) -> bool:
-        return not self.facets
-
-    @property
-    def dim(self):
-        """Top face dimension; -1 for the empty-face complex, None if void."""
-        if self.is_void:
-            return None
-        return max(m.bit_count() for m in self.facets) - 1
+        self._sizes = sizes
 
     def faces_by_size(self) -> list[list[int]]:
-        """All faces as masks, grouped by cardinality (index 0 = empty face),
-        each group ascending.  A face's state is the facets, by index, that
-        contain it.  Refuses more than MAX_MATERIALIZED_FACES faces.
-        """
-        if self.is_void:
-            return []
-        holders = [0] * self.n  # holders[v]: the facets, by index, that contain v
-        for i, f in enumerate(self.facets):
-            for v in bits(f):
-                holders[v] |= 1 << i
-        start = (1 << len(self.facets)) - 1
-        faces, _ = _list_faces(start, [(1 << v, h, h) for v, h in enumerate(holders) if h])
-        return _by_size(faces)
+        """All faces as masks, grouped by cardinality, each group ascending."""
+        return self._sizes
 
     def f_vector(self) -> tuple[int, ...]:
-        """(f_-1, f_0, ..., f_D); undefined (raises) for the void complex."""
-        if self.is_void:
-            raise ValueError("the void complex has no f-vector")
-        return tuple(len(b) for b in self.faces_by_size())
+        """(f_-1, f_0, ..., f_D)."""
+        return tuple(len(b) for b in self._sizes)
 
     def euler_char(self) -> int:
         """Reduced Euler characteristic: alternating f-vector sum from f_-1."""
         fv = self.f_vector()
         return sum(f if k % 2 else -f for k, f in enumerate(fv))
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, SimplicialComplex)
-            and self.n == other.n
-            and self.facets == other.facets
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.facets))
-
-    def __repr__(self) -> str:
-        if self.is_void:
-            return f"SimplicialComplex(n={self.n}, void)"
-        return f"SimplicialComplex(n={self.n}, facets={len(self.facets)}, dim={self.dim})"
-
 
 # -- face listing -------------------------------------------------------------
 
 
-def _list_faces(start: int, steps: Iterable[tuple[int, int, int]]) -> tuple[list[int], list[int]]:
-    """Every face of a complex and its state, as parallel lists in increasing
-    mask order.  Faces grow from the empty face, with state *start*, by the
-    (bit, can, keep) steps in ascending bit order: a face f with state s takes
-    the bit when s & can, and f | bit gets the state s & keep.  Refuses more
-    than MAX_MATERIALIZED_FACES faces, counted before a step is built.
+def _list_faces(adj: Sequence[int], mask: int) -> list[int]:
+    """Every independent subset of *mask* in the graph with adjacency *adj*,
+    in increasing mask order.  Faces grow from the empty face by the vertices
+    of *mask* in ascending order; a face takes a vertex adjacent to none of
+    its members.  Refuses more than MAX_MATERIALIZED_FACES faces, counted
+    before a vertex is added.
     """
     limit = MAX_MATERIALIZED_FACES
-    faces, states = [0], [start]
-    for bit, can, keep in steps:
-        # A step at most doubles the list, so only one past half the bound is counted.
-        if 2 * len(faces) > limit and len(faces) + sum(1 for s in states if s & can) > limit:
+    faces, free = [0], [mask]  # free[i]: the vertices of mask adjacent to no member of faces[i]
+    for v in bits(mask):
+        bit, keep = 1 << v, ~adj[v]
+        # A vertex at most doubles the list, so only one past half the bound is counted.
+        if 2 * len(faces) > limit and len(faces) + sum(1 for s in free if s & bit) > limit:
             raise ValueError(f"complex has more than {limit} faces")
-        faces += [f | bit for f, s in zip(faces, states) if s & can]
-        states += [s & keep for s in states if s & can]
-    return faces, states
+        faces += [f | bit for f, s in zip(faces, free) if s & bit]
+        free += [s & keep for s in free if s & bit]
+    return faces
 
 
 def _by_size(faces: list[int]) -> list[list[int]]:
@@ -218,18 +173,9 @@ def _by_size(faces: list[int]) -> list[list[int]]:
 
 
 def independence_complex(g: Graph) -> SimplicialComplex:
-    """Complex whose faces are exactly the independent vertex sets of g.
-
-    Lists every independent set, refusing more than MAX_MATERIALIZED_FACES;
-    a set's state is the vertices adjacent to none of its members, and a set
-    is a facet exactly when that is the set itself.  The facets come out as
-    a sorted antichain, so the constructor's sort and filter are skipped.
-    """
-    steps = [(1 << v, 1 << v, ~a) for v, a in enumerate(g.adj)]
-    faces, states = _list_faces(g.full_mask, steps)
-    cx = object.__new__(SimplicialComplex)
-    cx.n, cx.facets = g.n, tuple(f for f, s in zip(faces, states) if f == s)
-    return cx
+    """Complex whose faces are exactly the independent vertex sets of g,
+    listed once, refusing more than MAX_MATERIALIZED_FACES."""
+    return SimplicialComplex(g.n, _by_size(_list_faces(g.adj, g.full_mask)))
 
 
 def independent_set_counts(g: Graph) -> list[int]:

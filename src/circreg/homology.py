@@ -50,7 +50,6 @@ __all__ = [
     "RATIONALS",
     "normalize_field",
     "field_name",
-    "reduced_homology_dims",
     "euler_from_homology",
 ]
 
@@ -206,18 +205,7 @@ def homology_dims_from_sizes(sizes: list[list[int]], field) -> dict[int, int]:
 # -- public operations --------------------------------------------------------
 
 
-def reduced_homology_dims(cx: SimplicialComplex, field=2) -> dict[int, int]:
-    """dim of each reduced homology group of the complex over the field.
-
-    Keys run from -1 up to the complex dimension.  The void complex has no
-    homology and is rejected.
-    """
-    if cx.is_void:
-        raise ValueError("the void complex has no reduced homology")
-    return homology_dims_from_sizes(cx.faces_by_size(), field)
-
-
 def euler_from_homology(cx: SimplicialComplex, field=2) -> int:
     """Alternating sum of reduced homology dimensions, starting in degree -1."""
-    dims = reduced_homology_dims(cx, field)
+    dims = homology_dims_from_sizes(cx.faces_by_size(), field)
     return sum(dim if d % 2 == 0 else -dim for d, dim in dims.items())

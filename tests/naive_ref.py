@@ -82,8 +82,9 @@ def relative_faces_by_size(g: Graph, w: int) -> list[list[int]]:
 
 
 def complex_from_facets(n: int, facets) -> SimplicialComplex:
-    """The complex on 0..n-1 whose facets are the given vertex lists."""
-    return SimplicialComplex(n, (sum(1 << v for v in f) for f in facets))
+    """The complex on 0..n-1 whose facets are the given vertex lists, its
+    faces listed by faces_of_facets."""
+    return SimplicialComplex(n, faces_of_facets(n, [sum(1 << v for v in f) for f in facets]))
 
 
 def maximal_independent_masks(g: Graph) -> list[int]:

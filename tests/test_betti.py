@@ -36,7 +36,7 @@ from circreg.graphs import (
     moebius,
     random_graph,
 )
-from circreg.homology import reduced_homology_dims
+from circreg.homology import homology_dims_from_sizes
 from circreg.verify import _cubic_ladders
 from naive_ref import RP2_EDGES, complete_graph, path_graph
 
@@ -311,7 +311,7 @@ class TestDeterminismAndSymmetry:
             t = hochster_betti_table(g)
             n = g.n
             cx = independence_complex(g)
-            dims = reduced_homology_dims(cx, 2)
+            dims = homology_dims_from_sizes(cx.faces_by_size(), 2)
             for a in range(n):
                 assert t.beta(a, n) == dims.get(n - a - 2, 0)
             signed = sum((-1) ** (n - a) * t.beta(a, n) for a in range(n + 1))
@@ -394,7 +394,7 @@ class TestOrbitReps:
         assert _core_homology(g.adj, mirror, field, memo) == dims
         assert len(calls) == 1
         sub = g.induced(bits(mirror))[0]
-        expected = reduced_homology_dims(independence_complex(sub), field)
+        expected = homology_dims_from_sizes(independence_complex(sub).faces_by_size(), field)
         assert dims == {d: v for d, v in expected.items() if v}
 
     def test_one_homology_lookup_per_distinct_core(self, monkeypatch):
@@ -428,7 +428,7 @@ class TestCrossField:
         assert reg_pd == {"2": (4, 9), "3": (3, 8), "Q": (3, 8)}
         cx = independence_complex(g)
         for field, expected in ((2, {1: 1, 2: 1}), (3, {}), ("Q", {})):
-            dims = reduced_homology_dims(cx, field)
+            dims = homology_dims_from_sizes(cx.faces_by_size(), field)
             assert {d: v for d, v in dims.items() if v} == expected, field
 
     def test_flag_rp2_over_q_ranks_over_the_integers(self, rational_rank_calls):
@@ -557,7 +557,7 @@ class TestFold:
         edge = p3.induced(bits(core))[0]
         assert edge.n == 2 and edge.edge_count == 1
         for g in (p3, edge):
-            dims = reduced_homology_dims(independence_complex(g), 2)
+            dims = homology_dims_from_sizes(independence_complex(g).faces_by_size(), 2)
             assert {d: v for d, v in dims.items() if v} == {0: 1}
 
     def test_p4_folds_to_a_cone(self):

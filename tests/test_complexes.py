@@ -54,31 +54,22 @@ class TestIntPoly:
 
 
 class TestComplexBasics:
-    def test_facets_form_antichain(self):
-        cx = naive_ref.complex_from_facets(3, [[0, 1], [0], [1, 2]])
-        assert cx.facets == (0b011, 0b110)
-
     def test_void_vs_empty_face(self):
-        void = SimplicialComplex(2)
+        # A face list without the empty face is rejected, even with other
+        # faces in it; the complex of the empty face alone has dimension -1.
+        with pytest.raises(ValueError, match="empty face"):
+            SimplicialComplex(2, [[], [0b01, 0b10]])
         irr = naive_ref.complex_from_facets(2, [[]])
-        assert void.is_void and not irr.is_void
-        assert irr.dim == -1
+        assert irr.faces_by_size() == [[0]]
+        assert len(irr.faces_by_size()) - 2 == -1
 
     def test_f_vector_void_raises(self):
-        with pytest.raises(ValueError):
-            SimplicialComplex(3).f_vector()
+        with pytest.raises(ValueError, match="empty face"):
+            SimplicialComplex(3, [])
 
     def test_simplex_f_vector(self):
         cx = naive_ref.complex_from_facets(3, [[0, 1, 2]])
         assert cx.f_vector() == (1, 3, 3, 1)
-
-    def test_faces_by_size_refuses_more_than_the_bound(self, monkeypatch):
-        cx = naive_ref.complex_from_facets(3, [[0, 1, 2]])  # 8 faces
-        monkeypatch.setattr(circreg.complexes, "MAX_MATERIALIZED_FACES", 8)
-        assert [len(b) for b in cx.faces_by_size()] == [1, 3, 3, 1]
-        monkeypatch.setattr(circreg.complexes, "MAX_MATERIALIZED_FACES", 7)
-        with pytest.raises(ValueError, match="more than 7 faces"):
-            cx.faces_by_size()
 
 
 class TestIndependenceComplex:
@@ -87,8 +78,10 @@ class TestIndependenceComplex:
         assert cx.f_vector() == (1, 5)
 
     def test_c4_facets_are_diagonals(self):
-        cx = independence_complex(circulant(4, {1}))
-        assert set(cx.facets) == {0b0101, 0b1010}
+        g = circulant(4, {1})
+        cx = independence_complex(g)
+        assert cx.faces_by_size() == naive_ref.faces_by_size_within(g, g.full_mask)
+        assert cx.faces_by_size()[-1] == [0b0101, 0b1010]
         assert cx.f_vector() == (1, 4, 2)
 
     def test_edgeless_gives_full_simplex(self):
@@ -109,38 +102,33 @@ class TestIndependenceComplex:
 
 
 class TestFaceLister:
-    """independence_complex and faces_by_size share one face lister; both are
-    checked against brute force, including the order of every list."""
+    """independence_complex lists its faces once, by the lister the sweep's
+    cores share; the lists are checked against brute force, including the
+    order of every group."""
 
     @staticmethod
-    def _check_facets(g):
-        assert independence_complex(g).facets == tuple(naive_ref.maximal_independent_masks(g)), g.edges
+    def _check_faces(g):
+        assert independence_complex(g).faces_by_size() == naive_ref.faces_by_size_within(g, g.full_mask), g.edges
 
     def test_facets_on_all_five_vertex_graphs(self):
         pairs = list(combinations(range(5), 2))
         for m in range(1 << len(pairs)):
-            self._check_facets(Graph(5, [e for k, e in enumerate(pairs) if m >> k & 1]))
+            self._check_faces(Graph(5, [e for k, e in enumerate(pairs) if m >> k & 1]))
 
     def test_facets_on_a_seeded_sample(self):
         rng = random.Random(59)
         for n in range(6, 11):
             for _ in range(4):
-                self._check_facets(random_graph(n, rng.uniform(0.1, 0.8), rng))
+                self._check_faces(random_graph(n, rng.uniform(0.1, 0.8), rng))
 
     def test_facets_without_vertices_and_with_one(self):
-        for g, facets in ((Graph(0), (0,)), (Graph(1), (1,))):
-            assert independence_complex(g).facets == facets == tuple(naive_ref.maximal_independent_masks(g))
-
-    def test_faces_by_size_of_non_flag_complexes(self):
-        rng = random.Random(61)
-        for _ in range(60):
-            n = rng.randint(1, 8)
-            facets = [rng.randrange(1 << n) for _ in range(rng.randint(1, 6))]
-            got = SimplicialComplex(n, facets).faces_by_size()
-            assert got == naive_ref.faces_of_facets(n, facets), (n, facets)
+        for g, sizes in ((Graph(0), [[0]]), (Graph(1), [[0], [1]])):
+            assert independence_complex(g).faces_by_size() == sizes == naive_ref.faces_by_size_within(g, g.full_mask)
 
     def test_faces_by_size_of_void_and_empty_face_complexes(self):
-        assert naive_ref.complex_from_facets(3, []).faces_by_size() == [] == naive_ref.faces_of_facets(3, [])
+        assert naive_ref.faces_of_facets(3, []) == []
+        with pytest.raises(ValueError, match="empty face"):
+            naive_ref.complex_from_facets(3, [])
         assert naive_ref.complex_from_facets(3, [[]]).faces_by_size() == [[0]] == naive_ref.faces_of_facets(3, [0])
 
     def test_independence_complex_refuses_more_than_the_bound(self, monkeypatch):
@@ -154,7 +142,7 @@ class TestFaceLister:
                     with pytest.raises(ValueError, match=f"more than {limit} faces"):
                         independence_complex(g)
                 else:
-                    assert independence_complex(g).facets == tuple(naive_ref.maximal_independent_masks(g))
+                    assert independence_complex(g).faces_by_size() == naive_ref.faces_by_size_within(g, g.full_mask)
 
 
 class TestIndependencePolynomial:

@@ -1,6 +1,7 @@
 """The properties suite reads its tables off one sweep per graph; every
 seeded table must equal a separate sweep of its induced graph, and the
 default properties, theorem1, theorem2 and lemmas reports must not change.
+chi_report lists the independence complex once, whatever its fields.
 The property harness checks the classical regularity facts on one graph;
 it reads every table of the graph and its induced subgraphs from one
 sweep, reached through this module's names, and tables that differ by
@@ -17,6 +18,7 @@ import random
 import pytest
 
 import circreg.betti as betti_mod
+import circreg.complexes as complexes_mod
 import circreg.verify as verify
 from circreg.cli import main
 from circreg.betti import BettiTable, VertexLimitError, hochster_betti_table
@@ -359,6 +361,17 @@ def test_shared_memo_changes_no_table(monkeypatch, field):
     for _memo, graphs, tables in swept:
         for g, t in zip(graphs, tables):
             assert t == hochster_betti_table(g, field), (g.n, sorted(g.edges))
+
+
+def test_chi_report_lists_the_independence_complex_once(monkeypatch):
+    # The f-vector route and the homology route over every field read one
+    # face list.  Ind of a perfect matching on 16 vertices is the 7-sphere.
+    calls = []
+    real = complexes_mod._list_faces
+    monkeypatch.setattr(complexes_mod, "_list_faces", lambda *a: calls.append(a) or real(*a))
+    report = verify.chi_report(circulant(16, {8}), (2, 3, "Q"))
+    assert len(calls) == 1
+    assert report == {"f_vector": -1, "homology": {"2": -1, "3": -1, "Q": -1}, "neg_indpoly": -1, "agree": True}
 
 
 @pytest.mark.parametrize(
