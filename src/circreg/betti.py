@@ -39,7 +39,13 @@ orbit is computed and its contribution multiplied by the orbit size.  The
 orbits are binary necklaces, generated directly by the Fredricksen-Kessler-
 Maiorana algorithm (K. Cattell et al., "Fast algorithms to generate
 necklaces, unlabeled necklaces, and irreducible polynomials over GF(2)",
-J. Algorithms 2000).  Mirror images are merged by the memo instead: each
+J. Algorithms 2000), its steps taken a block of the last k <= n/2 bits at a
+time.  A step inside the block leaves a period p > n/2, so it gives a
+necklace only when p = n, and the bits it fills are copied from the fixed
+head of the mask: each run of such steps depends on the block's entry bits
+and the head's first k bits alone, and is walked once per list.  Each n's
+list is built once per memo, so a suite that passes its tables one memo
+builds it once.  Mirror images are merged by the memo instead: each
 new core is also stored under its relabelled adjacency read in descending
 vertex order, the key of its mirror image.
 """
@@ -168,17 +174,24 @@ def _rotation_is_automorphism(g: Graph) -> bool:
     )
 
 
-def _subset_orbit_reps(g: Graph) -> list[tuple[int, int]]:
+def _subset_orbit_reps(g: Graph, memo: dict) -> list[tuple[int, int]]:
     """Least member and size of each orbit of nonempty subsets under the
     rotation v -> v+1 (mod n), ascending, when it is an automorphism of g;
     every subset with size 1 otherwise.
 
-    Under the rotation the orbits are the binary necklaces.  Mirror images
-    are not merged here: the memo in _core_homology gives a core and its
-    mirror image one homology computation.
+    Under the rotation the orbits are the binary necklaces.  Each n's list
+    is built once per *memo*, under memo["necklaces"][n], and then shared by
+    every graph on n vertices swept with that memo; no field is named
+    "necklaces".  Mirror images are not merged here: the memo in
+    _core_homology gives a core and its mirror image one homology
+    computation.
     """
     if _rotation_is_automorphism(g):
-        return _necklaces(g.n)
+        lists = memo.setdefault("necklaces", {})
+        reps = lists.get(g.n)
+        if reps is None:
+            reps = lists[g.n] = _necklaces(g.n)
+        return reps
     return [(m, 1) for m in range(1, 1 << g.n)]
 
 
@@ -191,21 +204,51 @@ def _necklaces(n: int) -> list[tuple[int, int]]:
     of the current one, at position p, and repeats the first p symbols.  It
     is a necklace, the least of its rotations with period p, when p divides
     n, and its orbit then has p members.
+
+    The steps are taken a block at a time.  Fix the first n - k bits of the
+    mask, the head, with k = n // 3 <= n / 2.  A step whose last 0 lies in
+    the last k bits has t < k trailing 1s, so p = n - t > n / 2: it gives a
+    necklace only when p = n, t = 0, where it adds 1 to the mask.  The t
+    bits it fills are the first t bits, which lie in the head.  So the run
+    of steps from a block's entry suffix until its last k bits are all 1s
+    depends on that suffix and the first k bits alone.  Each run is walked
+    once per call and stored as the suffixes at which it gives a necklace;
+    the step out of the block, whose last 0 lies in the head, is the
+    ordinary one, with its test that p divides n.
     """
+    k = n // 3
+    low = (1 << k) - 1
+    shift = n - k  # m >> shift is the first k bits of m
     full = (1 << n) - 1
     # A p-bit block times repeat[p] is the block written ceil(n/p) times;
     # shifting right by cut[p] keeps its first n bits.
     repeat = [0] + [((1 << (p * -(-n // p))) - 1) // ((1 << p) - 1) for p in range(1, n + 1)]
     cut = [0] + [p * -(-n // p) - n for p in range(1, n + 1)]
+    runs: dict[int, list[int]] = {}  # first k bits, then the entry suffix -> the run
     out = []
     m = 0
-    while m != full:
-        t = (m ^ (m + 1)).bit_length() - 1  # trailing 1s, after the last 0
+    while True:
+        key = m >> shift << k | m & low
+        run = runs.get(key)
+        if run is None:
+            run = runs[key] = []
+            s, first = m & low, m >> shift
+            while s != low:
+                t = (s ^ (s + 1)).bit_length() - 1  # trailing 1s, after the last 0
+                s = ((s >> t) | 1) << t | first >> (k - t)
+                if not t:
+                    run.append(s)
+        if run:
+            head = m & ~low
+            out += [(head | s, n) for s in run]
+        m |= low
+        if m == full:
+            return out
+        t = (m ^ (m + 1)).bit_length() - 1
         p = n - t
         m = ((m >> t) | 1) * repeat[p] >> cut[p]
         if not n % p:
             out.append((m, p))
-    return out
 
 
 # Subsets folded together.  A slice's planes are _SLICE bits wide, and its
@@ -303,11 +346,11 @@ def _sweep_chunk(
     adj: Sequence[int],
     field,
     items: Sequence[tuple[int, int]],
-    memo: Optional[dict] = None,
+    memo: dict,
 ) -> dict:
     """Hochster sums over (subset, multiplicity) pairs: the whole sweep when
     *items* are the orbit representatives, with one memo across all of them
-    (*memo*'s entry for the field, or a fresh one).
+    (*memo*'s entry for the field).
 
     The subsets are folded together, _SLICE at a time (_fold_planes), and
     counted by (core, size, multiplicity); each nonzero reduced homology
@@ -320,7 +363,7 @@ def _sweep_chunk(
         masks, counts = zip(*items[start:start + _SLICE])
         cores = _masks(_fold_planes(adj, _planes(masks, len(adj))), len(masks))
         groups.update(compress(zip(cores, map(int.bit_count, masks), counts), cores))
-    memo = {} if memo is None else memo.setdefault(field, {})
+    memo = memo.setdefault(field, {})
     dims = {core: _core_homology(adj, core, field, memo) for core in {c for c, _, _ in groups}}
     entries: dict[tuple[int, int], int] = {}
     for (core, j, count), times in groups.items():
@@ -394,17 +437,19 @@ def hochster_betti_table(
     perfbench/run.py reads it from this signature to time workers=2.
 
     *memo*, when given, is a dict that this sweep reads and fills with the
-    homology of its folded cores, under the key *memo*[field], so that one
-    dict can serve sweeps over several fields and several graphs.  The
-    caller owns it and decides how long it lives (verify keeps one per
-    suite call); without it the sweep starts a fresh memo of its own.
+    homology of its folded cores, under the key *memo*[field], and with the
+    necklace list of the swept vertex count, under *memo*["necklaces"][n],
+    so that one dict can serve sweeps over several fields and several
+    graphs.  The caller owns it and decides how long it lives (verify keeps
+    one per suite call); without it the sweep starts a fresh memo of its own.
     """
     field = normalize_field(field)
     _check_vertex_limit(g.n, vertex_limit, "vertex_limit")
     if not g.edges:
         return BettiTable(g.n, field, {})
     swept = g if all(g.adj) else g.induced(compress(range(g.n), g.adj))[0]
-    entries = _sweep_chunk(swept.adj, field, _subset_orbit_reps(swept), memo)
+    memo = {} if memo is None else memo
+    entries = _sweep_chunk(swept.adj, field, _subset_orbit_reps(swept, memo), memo)
     return BettiTable(g.n, field, entries)
 
 

@@ -113,16 +113,15 @@ class IntPoly:
 
 
 class SimplicialComplex:
-    """Downward-closed face family on 0..n-1, stored as its faces: masks
-    grouped by cardinality (index 0 = the empty face), each group ascending.
-    A list without the empty face is rejected."""
+    """Downward-closed face family, stored as its faces: vertex masks grouped
+    by cardinality (index 0 = the empty face), each group ascending.  A list
+    without the empty face is rejected."""
 
-    __slots__ = ("n", "_sizes")
+    __slots__ = ("_sizes",)
 
-    def __init__(self, n: int, sizes: list[list[int]]):
+    def __init__(self, sizes: list[list[int]]):
         if sizes[:1] != [[0]]:
             raise ValueError("a complex must hold the empty face")
-        self.n = n
         self._sizes = sizes
 
     def faces_by_size(self) -> list[list[int]]:
@@ -175,7 +174,7 @@ def _by_size(faces: list[int]) -> list[list[int]]:
 def independence_complex(g: Graph) -> SimplicialComplex:
     """Complex whose faces are exactly the independent vertex sets of g,
     listed once, refusing more than MAX_MATERIALIZED_FACES."""
-    return SimplicialComplex(g.n, _by_size(_list_faces(g.adj, g.full_mask)))
+    return SimplicialComplex(_by_size(_list_faces(g.adj, g.full_mask)))
 
 
 def independent_set_counts(g: Graph) -> list[int]:

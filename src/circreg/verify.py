@@ -76,7 +76,8 @@ class _Oracle:
     call that makes it.  It stores each graph's table it sweeps, by graph,
     so a repeated graph is swept once, and it hands every sweep it starts one
     homology memo, so a folded core that recurs across the suite's graphs
-    has its homology computed once.  The tables of induced subgraphs are
+    has its homology computed once, and the necklace list of each vertex
+    count is built once.  The tables of induced subgraphs are
     returned to the caller by vertex set, and not stored.  The sweeps are
     reached through this module's names, which perfbench/run.py wraps to
     count verify's tables."""

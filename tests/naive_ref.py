@@ -7,7 +7,10 @@ two routes to each number share no code beyond the definitions.
 complex_from_facets only builds the library's complex from vertex lists, and
 complete_graph and path_graph build the graphs K_n and P_n, and RP2_EDGES
 lists the edges of a graph whose tables differ by field, as inputs of
-checks.  The last three sections are the exceptions.  One runs
+checks.  The last four sections are the exceptions.  One generates
+the binary necklaces by the Fredricksen-Kessler-Maiorana algorithm one
+prenecklace step at a time, the reference the library's block walk must
+match list for list.  One runs
 the rounds of the sweep's fold on one subset at a time, with sets, as the
 reference the bit-sliced fold, which folds every subset of a sweep at once,
 must match exactly.  One states the cubic circulants' regularity by cases on
@@ -84,7 +87,7 @@ def relative_faces_by_size(g: Graph, w: int) -> list[list[int]]:
 def complex_from_facets(n: int, facets) -> SimplicialComplex:
     """The complex on 0..n-1 whose facets are the given vertex lists, its
     faces listed by faces_of_facets."""
-    return SimplicialComplex(n, faces_of_facets(n, [sum(1 << v for v in f) for f in facets]))
+    return SimplicialComplex(faces_of_facets(n, [sum(1 << v for v in f) for f in facets]))
 
 
 def maximal_independent_masks(g: Graph) -> list[int]:
@@ -239,6 +242,27 @@ def is_gap_free(g: Graph) -> bool:
         for (a, b) in g.edges
         for (c, d) in g.edges
     )
+
+
+# -- binary necklaces, one FKM step at a time ---------------------------------
+
+
+def necklaces_fkm(n: int) -> list[tuple[int, int]]:
+    """Least member and size of every rotation orbit of nonzero n-bit masks,
+    read most significant bit first, ascending: the iterative
+    Fredricksen-Kessler-Maiorana algorithm.  Each step increments the last 0
+    of the current prenecklace, at position p, and repeats the first p bits;
+    the result is a necklace with p rotations when p divides n."""
+    out = []
+    m, full = 0, (1 << n) - 1
+    while m != full:
+        t = (m ^ (m + 1)).bit_length() - 1  # trailing 1s, after the last 0
+        p = n - t
+        word = format((m >> t) | 1, f"0{p}b")
+        m = int((word * n)[:n], 2)
+        if not n % p:
+            out.append((m, p))
+    return out
 
 
 # -- per-subset version of the sweep's fold ------------------------------------

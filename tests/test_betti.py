@@ -19,6 +19,7 @@ from circreg.betti import (
     _core_homology,
     _fold_planes,
     _masks,
+    _necklaces,
     _planes,
     _rotation_is_automorphism,
     _subset_orbit_reps,
@@ -139,10 +140,10 @@ class TestAgainstNaiveSweep:
         for g in graphs:
             masks = range(1, 1 << g.n)
             entries = hochster_betti_table(g, field).entries
-            assert _sweep_chunk(g.adj, field, [(m, 1) for m in masks]) == entries, (g.n, g.edges)
+            assert _sweep_chunk(g.adj, field, [(m, 1) for m in masks], {}) == entries, (g.n, g.edges)
             unshared: dict = {}
             for m in masks:
-                for cell, v in _sweep_chunk(g.adj, field, [(m, 1)]).items():
+                for cell, v in _sweep_chunk(g.adj, field, [(m, 1)], {}).items():
                     unshared[cell] = unshared.get(cell, 0) + v
             assert unshared == entries, (g.n, g.edges)
 
@@ -258,7 +259,7 @@ class TestIsolatedVertices:
         swept = []
         real = betti_mod._subset_orbit_reps
         monkeypatch.setattr(
-            betti_mod, "_subset_orbit_reps", lambda h: swept.append(h) or real(h)
+            betti_mod, "_subset_orbit_reps", lambda h, memo: swept.append(h) or real(h, memo)
         )
         t = hochster_betti_table(g, 2)
         assert swept == [circulant(5, {1})]
@@ -271,7 +272,7 @@ class TestIsolatedVertices:
         g = Graph(12, RP2_EDGES).disjoint_union(Graph(1))
         t = hochster_betti_table(g, field)
         assert t.n == 13
-        assert t.entries == _sweep_chunk(g.adj, field, [(m, 1) for m in range(1, 1 << 13)])
+        assert t.entries == _sweep_chunk(g.adj, field, [(m, 1) for m in range(1, 1 << 13)], {})
         assert t.entries == hochster_betti_table(Graph(12, RP2_EDGES), field).entries
         expected = {2: (4, 9), 3: (3, 8), "Q": (3, 8)}[field]
         assert (t.regularity, t.projective_dimension) == expected
@@ -359,10 +360,33 @@ class TestOrbitReps:
         graphs.append(asymmetric)
         assert sum(1 for g in graphs if g.n >= 3 and not _rotation_is_automorphism(g)) >= 6
         for g in graphs:
-            reps = _subset_orbit_reps(g)
+            reps = _subset_orbit_reps(g, {})
             assert reps == naive_ref.orbit_reps(g), (g.n, sorted(g.edges))
             if not _rotation_is_automorphism(g):
                 assert reps == [(m, 1) for m in range(1, 1 << g.n)], (g.n, sorted(g.edges))
+
+    def test_block_walk_matches_one_step_fkm(self):
+        # The block walk against the FKM steps taken one prenecklace at a
+        # time, list for list, and against rotating every mask.
+        for n in range(1, 21):
+            assert _necklaces(n) == naive_ref.necklaces_fkm(n), n
+        for n in range(1, 15):
+            assert _necklaces(n) == naive_ref.orbit_reps(Graph(n)), n
+
+    def test_one_memo_builds_each_necklace_list_once(self, monkeypatch):
+        # One list per vertex count, shared across graphs and fields; a sweep
+        # without a memo builds its own.
+        built = []
+        real = betti_mod._necklaces
+        monkeypatch.setattr(betti_mod, "_necklaces", lambda n: built.append(n) or real(n))
+        memo: dict = {}
+        for g in (circulant(8, {1}), circulant(8, {1, 4}), circulant(9, {1, 3}), circulant(8, {2})):
+            hochster_betti_table(g, 2, memo=memo)
+        hochster_betti_table(circulant(8, {1}), "Q", memo=memo)
+        assert built == [8, 9]
+        assert memo["necklaces"] == {8: real(8), 9: real(9)}
+        hochster_betti_table(circulant(8, {1}), 2)
+        assert built == [8, 9, 8]
 
     def test_cycle_orbits_are_the_binary_necklaces(self):
         # OEIS A000031(n), the number of binary necklaces of length n, counts
@@ -372,7 +396,7 @@ class TestOrbitReps:
             13: 632, 14: 1182, 15: 2192, 16: 4116, 17: 7712, 18: 14602, 19: 27596, 20: 52488,
         }
         for n, count in necklaces.items():
-            reps = _subset_orbit_reps(circulant(n, {1}))
+            reps = _subset_orbit_reps(circulant(n, {1}), {})
             assert len(reps) == count - 1, n
             assert sum(size for _, size in reps) == 2**n - 1, n
 
@@ -401,7 +425,7 @@ class TestOrbitReps:
         # A core recurs at several sizes and multiplicities; the sweep looks
         # its homology up once.
         g = circulant(18, {1, 9})
-        cores = naive_ref.fold_rounds(g, [m for m, _ in _subset_orbit_reps(g)])
+        cores = naive_ref.fold_rounds(g, [m for m, _ in _subset_orbit_reps(g, {})])
         distinct = set(cores) - {0}
         assert len(distinct) == 121
         calls = []
@@ -576,7 +600,7 @@ class TestFold:
 
     def test_matches_bit_loop_fold_on_bracelets(self):
         g = circulant(18, {1, 9})
-        _assert_fold_matches_bit_loop(g, [m for m, _ in _subset_orbit_reps(g)])
+        _assert_fold_matches_bit_loop(g, [m for m, _ in _subset_orbit_reps(g, {})])
 
     def test_cone_count_matches_the_reference(self):
         # A subset with an isolated vertex is a cone, whatever the order;

@@ -58,14 +58,14 @@ class TestComplexBasics:
         # A face list without the empty face is rejected, even with other
         # faces in it; the complex of the empty face alone has dimension -1.
         with pytest.raises(ValueError, match="empty face"):
-            SimplicialComplex(2, [[], [0b01, 0b10]])
+            SimplicialComplex([[], [0b01, 0b10]])
         irr = naive_ref.complex_from_facets(2, [[]])
         assert irr.faces_by_size() == [[0]]
         assert len(irr.faces_by_size()) - 2 == -1
 
     def test_f_vector_void_raises(self):
         with pytest.raises(ValueError, match="empty face"):
-            SimplicialComplex(3, [])
+            SimplicialComplex([])
 
     def test_simplex_f_vector(self):
         cx = naive_ref.complex_from_facets(3, [[0, 1, 2]])

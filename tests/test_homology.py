@@ -73,7 +73,7 @@ class TestCones:
         for _ in range(10):
             g = random_graph(7, rng.random(), rng)
             apex_facets = [(m << 1) | 1 for m in naive_ref.maximal_independent_masks(g)]
-            cone = SimplicialComplex(8, naive_ref.faces_of_facets(8, apex_facets))
+            cone = SimplicialComplex(naive_ref.faces_of_facets(8, apex_facets))
             for f in FIELDS:
                 assert all(v == 0 for v in homology_dims_from_sizes(cone.faces_by_size(), f).values())
 

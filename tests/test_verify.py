@@ -6,7 +6,8 @@ The property harness checks the classical regularity facts on one graph;
 it reads every table of the graph and its induced subgraphs from one
 sweep, reached through this module's names, and tables that differ by
 field pass it.  A suite's sweeps share one homology memo that lives as long
-as the suite call, and sharing it changes no table.  Each properties report
+as the suite call, and sharing it changes no table; the memo also holds
+each vertex count's necklace list, built once per suite call.  Each properties report
 is plain JSON data, and a check that does not apply passes.  An instance
 whose Euler-characteristic routes disagree fails, and a suite whose largest
 graph is over the sweep's vertex limit refuses before it sweeps."""
@@ -327,6 +328,18 @@ def test_memo_lives_one_suite_call(homology_calls):
     homology_calls.clear()
     verify.run_suite("theorem2")
     assert first and len(homology_calls) == first
+
+
+def test_necklace_lists_built_once_per_suite_call(monkeypatch):
+    built = []
+    real = betti_mod._necklaces
+    monkeypatch.setattr(betti_mod, "_necklaces", lambda n: built.append(n) or real(n))
+    verify.run_suite("theorem1")
+    first = list(built)
+    assert first and len(first) == len(set(first))
+    built.clear()
+    verify.run_suite("theorem1")
+    assert built == first
 
 
 @pytest.mark.parametrize("field", [2, 3, "Q"])
