@@ -45,7 +45,11 @@ necklace only when p = n, and the bits it fills are copied from the fixed
 head of the mask: each run of such steps depends on the block's entry bits
 and the head's first k bits alone, and is walked once per list.  Each n's
 list is built once per memo, so a suite that passes its tables one memo
-builds it once.  Mirror images are merged by the memo instead: each
+builds it once.  The orbits a sweep visits are two flat sequences, the
+least members and the orbit sizes, sliced together by the fold: a list and
+a bytearray for the necklaces, and for a graph without the rotation
+range(1, 2^n) and a bytes of 1s, so that no subset is listed before its
+slice is folded.  Mirror images are merged by the memo instead: each
 new core is also stored under its relabelled adjacency read in descending
 vertex order, the key of its mirror image.
 """
@@ -174,15 +178,32 @@ def _rotation_is_automorphism(g: Graph) -> bool:
     )
 
 
-def _subset_orbit_reps(g: Graph, memo: dict) -> list[tuple[int, int]]:
-    """Least member and size of each orbit of nonempty subsets under the
-    rotation v -> v+1 (mod n), ascending, when it is an automorphism of g;
-    every subset with size 1 otherwise.
+@dataclass(frozen=True)
+class _Orbits:
+    """The orbits of nonempty subsets that one sweep visits, as two flat
+    sequences: orbit i has least member masks[i] and sizes[i] members.
+    len is the number of orbits, and iterating gives (mask, size) pairs."""
 
-    Under the rotation the orbits are the binary necklaces.  Each n's list
-    is built once per *memo*, under memo["necklaces"][n], and then shared by
-    every graph on n vertices swept with that memo; no field is named
-    "necklaces".  Mirror images are not merged here: the memo in
+    masks: Sequence[int]
+    sizes: Sequence[int]
+
+    def __len__(self) -> int:
+        return len(self.masks)
+
+    def __iter__(self):
+        return zip(self.masks, self.sizes)
+
+
+def _subset_orbit_reps(g: Graph, memo: dict) -> _Orbits:
+    """The orbits of nonempty subsets under the rotation v -> v+1 (mod n),
+    least members ascending, when it is an automorphism of g; every subset
+    as an orbit of size 1 otherwise, with masks range(1, 2^n) and sizes a
+    bytes of 1s, so that no list of subsets is built.
+
+    Under the rotation the orbits are the binary necklaces.  Each n's
+    orbits are built once per *memo*, under memo["necklaces"][n], and then
+    shared by every graph on n vertices swept with that memo; no field is
+    named "necklaces".  Mirror images are not merged here: the memo in
     _core_homology gives a core and its mirror image one homology
     computation.
     """
@@ -192,11 +213,12 @@ def _subset_orbit_reps(g: Graph, memo: dict) -> list[tuple[int, int]]:
         if reps is None:
             reps = lists[g.n] = _necklaces(g.n)
         return reps
-    return [(m, 1) for m in range(1, 1 << g.n)]
+    return _Orbits(range(1, 1 << g.n), b"\1" * ((1 << g.n) - 1))
 
 
-def _necklaces(n: int) -> list[tuple[int, int]]:
-    """Least member and size of every rotation orbit of nonzero n-bit masks.
+def _necklaces(n: int) -> _Orbits:
+    """Every rotation orbit of nonzero n-bit masks: its least member, and
+    its size as a byte.
 
     The masks are read most significant bit first, so lexicographic order is
     integer order.  The iterative Fredricksen-Kessler-Maiorana algorithm walks
@@ -214,7 +236,8 @@ def _necklaces(n: int) -> list[tuple[int, int]]:
     depends on that suffix and the first k bits alone.  Each run is walked
     once per call and stored as the suffixes at which it gives a necklace;
     the step out of the block, whose last 0 lies in the head, is the
-    ordinary one, with its test that p divides n.
+    ordinary one, with its test that p divides n.  The masks go to a list
+    and the periods to a bytearray, so no tuple is built per necklace.
     """
     k = n // 3
     low = (1 << k) - 1
@@ -225,7 +248,9 @@ def _necklaces(n: int) -> list[tuple[int, int]]:
     repeat = [0] + [((1 << (p * -(-n // p))) - 1) // ((1 << p) - 1) for p in range(1, n + 1)]
     cut = [0] + [p * -(-n // p) - n for p in range(1, n + 1)]
     runs: dict[int, list[int]] = {}  # first k bits, then the entry suffix -> the run
-    out = []
+    masks: list[int] = []
+    sizes = bytearray()
+    whole = bytes([n])
     m = 0
     while True:
         key = m >> shift << k | m & low
@@ -240,15 +265,17 @@ def _necklaces(n: int) -> list[tuple[int, int]]:
                     run.append(s)
         if run:
             head = m & ~low
-            out += [(head | s, n) for s in run]
+            masks += [head | s for s in run]
+            sizes += whole * len(run)
         m |= low
         if m == full:
-            return out
+            return _Orbits(masks, sizes)
         t = (m ^ (m + 1)).bit_length() - 1
         p = n - t
         m = ((m >> t) | 1) * repeat[p] >> cut[p]
         if not n % p:
-            out.append((m, p))
+            masks.append(m)
+            sizes.append(p)
 
 
 # Subsets folded together.  A slice's planes are _SLICE bits wide, and its
@@ -345,24 +372,31 @@ def _fold_planes(adj: Sequence[int], planes: Sequence[int]) -> list[int]:
 def _sweep_chunk(
     adj: Sequence[int],
     field,
-    items: Sequence[tuple[int, int]],
+    items: _Orbits,
     memo: dict,
 ) -> dict:
-    """Hochster sums over (subset, multiplicity) pairs: the whole sweep when
-    *items* are the orbit representatives, with one memo across all of them
-    (*memo*'s entry for the field).
+    """Hochster sums over subsets with multiplicities, items.masks and
+    items.sizes: the whole sweep when *items* are the orbits of
+    _subset_orbit_reps, with one memo across all of them (*memo*'s entry
+    for the field).
 
     The subsets are folded together, _SLICE at a time (_fold_planes), and
     counted by (core, size, multiplicity); each nonzero reduced homology
     dimension of a core, times the multiplicity and the count, goes to the
     cell (j - d - 2, j) of the subset size j.  A core recurs across sizes
     and multiplicities; its homology is looked up once.  A cone's core is 0
-    and adds nothing."""
+    and adds nothing, so each slice's masks and multiplicities are
+    compressed by its cores before a key is built."""
     groups: Counter = Counter()
     for start in range(0, len(items), _SLICE):
-        masks, counts = zip(*items[start:start + _SLICE])
+        masks = items.masks[start:start + _SLICE]
         cores = _masks(_fold_planes(adj, _planes(masks, len(adj))), len(masks))
-        groups.update(compress(zip(cores, map(int.bit_count, masks), counts), cores))
+        sizes = items.sizes[start:start + _SLICE]
+        groups.update(zip(
+            compress(cores, cores),
+            map(int.bit_count, compress(masks, cores)),
+            compress(sizes, cores),
+        ))
     memo = memo.setdefault(field, {})
     dims = {core: _core_homology(adj, core, field, memo) for core in {c for c, _, _ in groups}}
     entries: dict[tuple[int, int], int] = {}
@@ -433,12 +467,14 @@ def hochster_betti_table(
     cone and adds nothing, so the graph induced on the other vertices is
     swept, by necklaces when the rotation is one of its automorphisms
     (as for C5 plus an isolated vertex), and the table keeps g's vertex
-    count.  It is serial and ignores *workers*.  The parameter stays because
-    perfbench/run.py reads it from this signature to time workers=2.
+    count.  Without the rotation every subset is swept, straight from
+    range(1, 2^n), _SLICE at a time, with no list of subsets.  It is serial
+    and ignores *workers*.  The parameter stays because perfbench/run.py
+    reads it from this signature to time workers=2.
 
     *memo*, when given, is a dict that this sweep reads and fills with the
     homology of its folded cores, under the key *memo*[field], and with the
-    necklace list of the swept vertex count, under *memo*["necklaces"][n],
+    necklaces of the swept vertex count, under *memo*["necklaces"][n],
     so that one dict can serve sweeps over several fields and several
     graphs.  The caller owns it and decides how long it lives (verify keeps
     one per suite call); without it the sweep starts a fresh memo of its own.

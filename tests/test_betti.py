@@ -20,6 +20,7 @@ from circreg.betti import (
     _fold_planes,
     _masks,
     _necklaces,
+    _Orbits,
     _planes,
     _rotation_is_automorphism,
     _subset_orbit_reps,
@@ -140,10 +141,10 @@ class TestAgainstNaiveSweep:
         for g in graphs:
             masks = range(1, 1 << g.n)
             entries = hochster_betti_table(g, field).entries
-            assert _sweep_chunk(g.adj, field, [(m, 1) for m in masks], {}) == entries, (g.n, g.edges)
+            assert _sweep_chunk(g.adj, field, _Orbits(masks, b"\1" * len(masks)), {}) == entries, (g.n, g.edges)
             unshared: dict = {}
             for m in masks:
-                for cell, v in _sweep_chunk(g.adj, field, [(m, 1)], {}).items():
+                for cell, v in _sweep_chunk(g.adj, field, _Orbits([m], b"\1"), {}).items():
                     unshared[cell] = unshared.get(cell, 0) + v
             assert unshared == entries, (g.n, g.edges)
 
@@ -272,7 +273,8 @@ class TestIsolatedVertices:
         g = Graph(12, RP2_EDGES).disjoint_union(Graph(1))
         t = hochster_betti_table(g, field)
         assert t.n == 13
-        assert t.entries == _sweep_chunk(g.adj, field, [(m, 1) for m in range(1, 1 << 13)], {})
+        every = _Orbits(range(1, 1 << 13), b"\1" * ((1 << 13) - 1))
+        assert t.entries == _sweep_chunk(g.adj, field, every, {})
         assert t.entries == hochster_betti_table(Graph(12, RP2_EDGES), field).entries
         expected = {2: (4, 9), 3: (3, 8), "Q": (3, 8)}[field]
         assert (t.regularity, t.projective_dimension) == expected
@@ -360,7 +362,7 @@ class TestOrbitReps:
         graphs.append(asymmetric)
         assert sum(1 for g in graphs if g.n >= 3 and not _rotation_is_automorphism(g)) >= 6
         for g in graphs:
-            reps = _subset_orbit_reps(g, {})
+            reps = list(_subset_orbit_reps(g, {}))
             assert reps == naive_ref.orbit_reps(g), (g.n, sorted(g.edges))
             if not _rotation_is_automorphism(g):
                 assert reps == [(m, 1) for m in range(1, 1 << g.n)], (g.n, sorted(g.edges))
@@ -369,9 +371,24 @@ class TestOrbitReps:
         # The block walk against the FKM steps taken one prenecklace at a
         # time, list for list, and against rotating every mask.
         for n in range(1, 21):
-            assert _necklaces(n) == naive_ref.necklaces_fkm(n), n
+            assert list(_necklaces(n)) == naive_ref.necklaces_fkm(n), n
         for n in range(1, 15):
-            assert _necklaces(n) == naive_ref.orbit_reps(Graph(n)), n
+            assert list(_necklaces(n)) == naive_ref.orbit_reps(Graph(n)), n
+
+    def test_orbits_are_two_flat_sequences(self):
+        # An asymmetric graph's masks are the range of every subset, not a
+        # list; either kind lists and counts its orbits as the reference.
+        asymmetric = [Graph(8, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7), (0, 2)])]
+        asymmetric += [random_graph(n, 0.4, random.Random(n)) for n in (9, 11, 13)]
+        symmetric = [circulant(n, {1, n // 2}) for n in (6, 9, 12)] + [circulant(13, {2, 5}), Graph(2, [(0, 1)])]
+        for g in asymmetric:
+            assert not _rotation_is_automorphism(g)
+            assert _subset_orbit_reps(g, {}).masks == range(1, 1 << g.n), (g.n, sorted(g.edges))
+        for g in asymmetric + symmetric:
+            orbits = _subset_orbit_reps(g, {})
+            reference = naive_ref.orbit_reps(g)
+            assert list(orbits) == reference, (g.n, sorted(g.edges))
+            assert len(orbits) == len(reference), (g.n, sorted(g.edges))
 
     def test_one_memo_builds_each_necklace_list_once(self, monkeypatch):
         # One list per vertex count, shared across graphs and fields; a sweep
