@@ -33,7 +33,6 @@ from .betti import (
     ZeroIdealError,
     VertexLimitError,
     hochster_betti_table,
-    RegDecision,
     decide_regularity,
 )
 from .formulas import (

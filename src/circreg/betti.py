@@ -59,13 +59,12 @@ from __future__ import annotations
 import sys
 from array import array
 from collections import Counter
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from itertools import compress
 from typing import Iterable, Optional, Sequence
 
-from ._bitops import bits
 from .complexes import _by_size, _list_faces
-from .graphs import Graph
+from .graphs import Graph, bits
 from .homology import field_name, homology_dims_from_sizes, normalize_field
 
 __all__ = [
@@ -74,7 +73,6 @@ __all__ = [
     "VertexLimitError",
     "hochster_betti_table",
     "induced_betti_tables",
-    "RegDecision",
     "decide_regularity",
 ]
 
@@ -577,50 +575,29 @@ def _check_vertex_limit(
 
 # -- the Euler-sign decision procedure ----------------------------------------
 
-PD_BOUND_LOOSE = "n-r+1"
-PD_BOUND_TIGHT = "n-r"
-
-OUTCOME_REGULARITY = "regularity_determined"
-OUTCOME_PD = "pd_determined"
-OUTCOME_INCONCLUSIVE = "inconclusive"
-
-
-@dataclass(frozen=True)
-class RegDecision:
-    """Outcome of the parity/sign decision given certified reg and pd bounds."""
-
-    outcome: str
-    value: Optional[int]
-    n: int
-    r: int
-    pd_bound: str
-    chi: int
-
-    @property
-    def is_regularity(self) -> bool:
-        return self.outcome == OUTCOME_REGULARITY
-
-    def to_json_dict(self) -> dict:
-        return asdict(self)
-
-
-def decide_regularity(n: int, r: int, pd: int, chi: int) -> RegDecision:
+def decide_regularity(n: int, r: int, pd: int, chi: int) -> dict:
     """Decide reg or pd of a square-free ideal in n variables from a
     certified regularity bound r, a certified pd bound pd, and the reduced
     Euler characteristic of the associated complex.
 
     With pd <= n-r+1 only the top two column-n Betti numbers can survive, so
     the sign of chi pins one of them; with pd <= n-r a single entry remains
-    and any nonzero chi certifies reg = r.  The case that applies is recorded
-    as the decision's pd_bound.
+    and any nonzero chi certifies reg = r.  Returns the record
+    {"outcome", "value", "n", "r", "pd_bound", "chi"}: outcome is
+    "regularity_determined" (value r), "pd_determined" (value n - r + 1) or
+    "inconclusive" (chi = 0, value None), and pd_bound is "n-r" or "n-r+1",
+    the case that applied.
     """
     if r < 1 or r > n:
         raise ValueError(f"need 1 <= r <= n, got r={r}, n={n}")
     if pd > n - r + 1:
         raise ValueError(f"need pd <= n - r + 1 = {n - r + 1}, got pd={pd}")
-    pd_bound = PD_BOUND_TIGHT if pd <= n - r else PD_BOUND_LOOSE
+    tight = pd <= n - r
     if chi == 0:
-        return RegDecision(OUTCOME_INCONCLUSIVE, None, n, r, pd_bound, chi)
-    if pd_bound == PD_BOUND_TIGHT or (r % 2 == 0) == (chi > 0):
-        return RegDecision(OUTCOME_REGULARITY, r, n, r, pd_bound, chi)
-    return RegDecision(OUTCOME_PD, n - r + 1, n, r, pd_bound, chi)
+        outcome, value = "inconclusive", None
+    elif tight or (r % 2 == 0) == (chi > 0):
+        outcome, value = "regularity_determined", r
+    else:
+        outcome, value = "pd_determined", n - r + 1
+    return {"outcome": outcome, "value": value, "n": n, "r": r,
+            "pd_bound": "n-r" if tight else "n-r+1", "chi": chi}

@@ -313,23 +313,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_indpoly)
 
     p = sub.add_parser("formula", help="closed forms and bounds")
+    p.set_defaults(func=_cmd_formula)
     fsub = p.add_subparsers(dest="formula", required=True)
     q = fsub.add_parser("reg-hat-j", parents=[json_flag])
     q.add_argument("n", type=int)
     q.add_argument("j", type=int)
-    q.set_defaults(func=_cmd_formula)
     q = fsub.add_parser("reg-cubic", parents=[json_flag])
     q.add_argument("n", type=int)
     q.add_argument("a", type=int)
-    q.set_defaults(func=_cmd_formula)
     q = fsub.add_parser("hoshino", parents=[json_flag])
     q.add_argument("n", type=int)
     q.add_argument("--variant", choices=("printed", "corrected"), default="corrected")
-    q.set_defaults(func=_cmd_formula)
     q = fsub.add_parser("bounds", parents=[json_flag])
     q.add_argument("kind", choices=("A", "B", "D", "moebius", "prism"))
     q.add_argument("t", type=int, help="t for families, n for the cubic kinds")
-    q.set_defaults(func=_cmd_formula)
 
     p = sub.add_parser("verify", parents=[json_flag], help="run a verification sweep")
     p.add_argument("suite", choices=sorted(SUITES))

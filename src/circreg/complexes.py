@@ -11,8 +11,7 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-from ._bitops import bits
-from .graphs import Graph
+from .graphs import Graph, bits
 
 __all__ = [
     "IntPoly",

@@ -12,9 +12,7 @@ from __future__ import annotations
 import math
 import random
 from itertools import combinations
-from typing import Iterable, Sequence
-
-from ._bitops import bits
+from typing import Iterable, Iterator, Sequence
 
 __all__ = [
     "Graph",
@@ -30,6 +28,14 @@ __all__ = [
     "random_graph",
     "graph_from_json_dict",
 ]
+
+
+def bits(mask: int) -> Iterator[int]:
+    """Yield the indices of the set bits of *mask*, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 class Graph:

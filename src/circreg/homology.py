@@ -81,8 +81,7 @@ def normalize_field(field) -> int | str:
 
 
 def field_name(field) -> str:
-    f = normalize_field(field)
-    return "Q" if f == RATIONALS else str(f)
+    return str(normalize_field(field))
 
 
 # -- exact ranks -------------------------------------------------------------

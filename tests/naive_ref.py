@@ -27,9 +27,8 @@ import math
 from fractions import Fraction
 from itertools import combinations
 
-from circreg._bitops import bits
 from circreg.complexes import SimplicialComplex
-from circreg.graphs import Graph, circulant, davis_domke
+from circreg.graphs import Graph, bits, circulant, davis_domke
 
 
 def complete_graph(n: int) -> Graph:

@@ -8,13 +8,7 @@ import time
 
 import pytest
 
-from circreg.betti import (
-    OUTCOME_REGULARITY,
-    PD_BOUND_LOOSE,
-    PD_BOUND_TIGHT,
-    decide_regularity,
-    hochster_betti_table,
-)
+from circreg.betti import decide_regularity, hochster_betti_table
 from circreg.complexes import (
     euler_via_independence,
     independence_complex,
@@ -184,21 +178,21 @@ def test_criterion_6_decision_procedure_replication(family_pool):
             reg_bound, pd_bound = bound_cubic(kind, n)
             nvars = 2 * n
             if pd_bound == nvars - reg_bound:
-                bound_kind = PD_BOUND_TIGHT
+                bound_kind = "n-r"
             else:
                 assert pd_bound == nvars - reg_bound + 1
-                bound_kind = PD_BOUND_LOOSE
+                bound_kind = "n-r+1"
             chi = euler_via_independence(g)
-            if bound_kind == PD_BOUND_TIGHT:
+            if bound_kind == "n-r":
                 assert chi != 0, (kind, n)
             elif reg_bound % 2 == 0:
                 assert chi > 0, (kind, n)
             else:
                 assert chi < 0, (kind, n)
             decision = decide_regularity(nvars, reg_bound, pd_bound, chi)
-            assert decision.pd_bound == bound_kind, (kind, n)
-            assert decision.outcome == OUTCOME_REGULARITY, (kind, n)
-            assert decision.value == table.regularity, (kind, n)
+            assert decision["pd_bound"] == bound_kind, (kind, n)
+            assert decision["outcome"] == "regularity_determined", (kind, n)
+            assert decision["value"] == table.regularity, (kind, n)
             checked += 1
     print(f"PASS criterion 6: Euler-sign decision determines reg correctly on {checked} cubic instances")
 

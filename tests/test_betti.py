@@ -9,10 +9,7 @@ import pytest
 
 import naive_ref
 import circreg.betti as betti_mod
-from circreg._bitops import bits
 from circreg.betti import (
-    PD_BOUND_LOOSE,
-    PD_BOUND_TIGHT,
     BettiTable,
     VertexLimitError,
     ZeroIdealError,
@@ -34,12 +31,13 @@ from circreg.complexes import euler_via_independence, independence_complex
 from circreg.formulas import bound_cubic
 from circreg.graphs import (
     Graph,
+    bits,
     circulant,
     moebius,
     random_graph,
 )
 from circreg.homology import homology_dims_from_sizes
-from circreg.verify import _cubic_ladders
+from circreg.verify import _cubic_ladders, run_suite
 from naive_ref import RP2_EDGES, complete_graph, path_graph
 
 
@@ -670,19 +668,19 @@ class TestFold:
 
 class TestDecision:
     def test_loose_bound_cases(self):
-        assert decide_regularity(10, 4, 7, 1).outcome == "regularity_determined"
-        assert decide_regularity(10, 4, 7, 1).value == 4
-        assert decide_regularity(10, 5, 6, -2).value == 5
+        assert decide_regularity(10, 4, 7, 1)["outcome"] == "regularity_determined"
+        assert decide_regularity(10, 4, 7, 1)["value"] == 4
+        assert decide_regularity(10, 5, 6, -2)["value"] == 5
         d = decide_regularity(10, 4, 7, -3)
-        assert d.outcome == "pd_determined" and d.value == 7
+        assert d["outcome"] == "pd_determined" and d["value"] == 7
         d = decide_regularity(10, 5, 6, 3)
-        assert d.outcome == "pd_determined" and d.value == 6
-        assert decide_regularity(10, 4, 7, 0).outcome == "inconclusive"
+        assert d["outcome"] == "pd_determined" and d["value"] == 6
+        assert decide_regularity(10, 4, 7, 0)["outcome"] == "inconclusive"
 
     def test_tight_bound_cases(self):
-        assert decide_regularity(12, 4, 8, -1).value == 4
-        assert decide_regularity(12, 4, 8, 5).value == 4
-        assert decide_regularity(12, 4, 8, 0).outcome == "inconclusive"
+        assert decide_regularity(12, 4, 8, -1)["value"] == 4
+        assert decide_regularity(12, 4, 8, 5)["value"] == 4
+        assert decide_regularity(12, 4, 8, 0)["outcome"] == "inconclusive"
 
     def test_rejects_bad_r(self):
         with pytest.raises(ValueError):
@@ -697,19 +695,27 @@ class TestDecision:
         # records which; pd <= n - r is the tight case, its edge included.
         for kind, n in _cubic_ladders(10):
             r, pd = bound_cubic(kind, n)
-            shape = {2 * n - r: PD_BOUND_TIGHT, 2 * n - r + 1: PD_BOUND_LOOSE}[pd]
-            assert decide_regularity(2 * n, r, pd, 1).pd_bound == shape, (kind, n)
+            shape = {2 * n - r: "n-r", 2 * n - r + 1: "n-r+1"}[pd]
+            assert decide_regularity(2 * n, r, pd, 1)["pd_bound"] == shape, (kind, n)
         for n, r in [(4, 2), (10, 4), (12, 5)]:
-            assert decide_regularity(n, r, n - r - 1, 1).pd_bound == PD_BOUND_TIGHT
-            assert decide_regularity(n, r, n - r, 1).pd_bound == PD_BOUND_TIGHT
-            assert decide_regularity(n, r, n - r + 1, 1).pd_bound == PD_BOUND_LOOSE
+            assert decide_regularity(n, r, n - r - 1, 1)["pd_bound"] == "n-r"
+            assert decide_regularity(n, r, n - r, 1)["pd_bound"] == "n-r"
+            assert decide_regularity(n, r, n - r + 1, 1)["pd_bound"] == "n-r+1"
             with pytest.raises(ValueError, match=rf"n - r \+ 1 = {n - r + 1}\b"):
                 decide_regularity(n, r, n - r + 2, 1)
+
+    def test_record_is_theorem2s_decision(self):
+        # The record is what theorem2 prints as each ladder's decision.
+        printed = run_suite("theorem2", nmax=4)["instances"][-1]["decision"]
+        assert set(printed) == {"outcome", "value", "n", "r", "pd_bound", "chi"}
+        assert decide_regularity(8, 3, 5, -1) == printed
+        assert decide_regularity(10, 4, 7, 0) == {
+            "outcome": "inconclusive", "value": None, "n": 10, "r": 4, "pd_bound": "n-r+1", "chi": 0
+        }
 
     def test_never_contradicts_oracle_on_k4(self):
         # K_4: reg <= 2 and pd <= n-r+1 = 3 both hold; chi = 3 > 0, r even.
         g = complete_graph(4)
         chi = euler_via_independence(g)
         d = decide_regularity(4, 2, 3, chi)
-        assert d.is_regularity and d.value == hochster_betti_table(g).regularity
-
+        assert d["outcome"] == "regularity_determined" and d["value"] == hochster_betti_table(g).regularity
