@@ -17,7 +17,23 @@ Otherwise the homology is computed once per folded graph up to
 relabelling, while the entry still uses the size j of the original subset:
 once per table, or once per suite when the caller passes the tables one
 memo (the relabelled graph does not depend on the graph it was folded from).
-Each such computation splits the core G at a vertex w of least degree:
+Each such computation first walks one matching tree on Ind(G), G the core
+(M. Bousquet-Mélou, S. Linusson and E. Nevo, "On the independence complex
+of square grids", J. Algebraic Combin. 2008).  A node of the tree holds the
+faces that contain a set A and lie in A plus a free set F.  It splits at a
+pivot p into "p out" and "p in", A + p with F - N[p]; a free vertex with no
+free neighbour pairs its node's faces by toggling it; an empty F leaves one
+unpaired face, A, a critical cell.  Each split orders its two halves ("p
+out" below "p in"), and a toggle pairs faces within one leaf, so the pairs
+are an acyclic matching on the faces, the empty face included (the cluster
+lemma, J. Jonsson, "Simplicial complexes of graphs", LNM 1928, 2008).  By
+discrete Morse theory (R. Forman, "Morse theory for cell complexes", Adv.
+Math. 1998) the reduced chains of Ind(G) are then chain homotopy equivalent
+over Z to a complex with one generator in degree k - 1 per critical cell of
+size k.  When no two cells sit in adjacent sizes its differentials are zero,
+so H~(Ind G; Z) is free on the cells, with the same dims over every field,
+and no face is listed or ranked.  Otherwise the core falls back to a split
+at a vertex w of least degree:
 Ind(G) = Ind(G - w) ∪ w * Ind(G - N[w]) (M. Adamaszek, "Splittings of
 independence complexes and the powers of cycles", J. Combin. Theory Ser. A
 2012).  The cone w * Ind(G - N[w]) is contractible, so by excision
@@ -421,15 +437,76 @@ def _relabelled(adj: Sequence[int], core: int, verts: list[int]) -> tuple[int, .
     return tuple(key)
 
 
+def _critical_cells(adj: Sequence[int], core: int) -> Optional[dict[int, int]]:
+    """The critical cells of one matching tree on Ind(G), G the graph
+    induced on *core*, counted by size, ascending; None once two of them
+    sit in adjacent sizes.
+
+    A node of the tree holds the faces that contain a set A of vertices and
+    miss the vertices outside A and a free set F, with no vertex of F next
+    to A.  A free vertex with no free neighbour pairs every face of the
+    node with the face that toggles it, so the node ends with no cell.  An
+    empty F leaves the one face A, a critical cell of size |A|.  Otherwise
+    the node splits at a pivot p, the neighbour of largest free degree
+    (lowest label on ties) of a free vertex u of least free degree (lowest
+    label on ties), into "p out", F - p, and "p in", A + p with F - N[p].
+    When p is u's only free neighbour, "p out" leaves u with none, so that
+    branch is not walked.  The pairs are an acyclic matching on the faces,
+    the empty face included (module docstring).
+    """
+    cells: dict[int, int] = {}
+    stack = [(core, 0)]
+    while stack:
+        free, size = stack.pop()
+        if not free:
+            if size not in cells:
+                if size - 1 in cells or size + 1 in cells:
+                    return None
+                cells[size] = 0
+            cells[size] += 1
+            continue
+        least = len(adj)
+        rest = free
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            near = adj[low.bit_length() - 1] & free
+            if not near:
+                break
+            degree = near.bit_count()
+            if degree < least:
+                least, nbrs = degree, near
+        else:
+            most = -1
+            while nbrs:
+                low = nbrs & -nbrs
+                nbrs ^= low
+                v = low.bit_length() - 1
+                degree = (adj[v] & free).bit_count()
+                if degree > most:
+                    most, p = degree, v
+            out = free & ~(1 << p)
+            if least > 1:
+                stack.append((out, size))
+            stack.append((out & ~adj[p], size + 1))
+    return dict(sorted(cells.items()))
+
+
 def _core_homology(adj: Sequence[int], core: int, field, memo: dict) -> dict[int, int]:
     """Nonzero reduced homology of the independence complex induced on *core*.
 
-    A miss splits Ind(G), G the graph induced on *core*, at a vertex w of
-    least degree, the lowest such label, so that few faces meet N(w).  The
-    cone w * Ind(G - N[w]) is contractible, so one split is exact for every
-    G (module docstring): H~_d(Ind G) = H_d(Ind(G - w), Ind(G - N[w])) over
-    Z, ranked on the relative list, the faces of Ind(G - w) that meet N(w).
-    A cone's core, with an isolated vertex, lists no face and has no homology.
+    A miss first walks the core's matching tree (_critical_cells;
+    Bousquet-Mélou, Linusson and Nevo 2008).  When no two of its critical
+    cells sit in adjacent sizes, the Morse complex has no differential
+    (Forman 1998), so H~_(k-1)(Ind G; Z) is free on the cells of size k, G
+    the graph induced on *core*, and the dims hold over every field.  A
+    cone's core ends the tree at its root with no cell and no homology.
+    Otherwise the miss falls back to splitting Ind(G) at a vertex w of
+    least degree, the lowest such label, so that few faces meet N(w)
+    (Adamaszek 2012).  The cone w * Ind(G - N[w]) is contractible, so one
+    split is exact for every G (module docstring):
+    H~_d(Ind G) = H_d(Ind(G - w), Ind(G - N[w])) over Z, ranked on the
+    relative list, the faces of Ind(G - w) that meet N(w).
 
     The memo key reads the core in ascending vertex order.  A miss also
     stores the dims under the key read in descending order.  That is the key
@@ -440,11 +517,15 @@ def _core_homology(adj: Sequence[int], core: int, field, memo: dict) -> dict[int
     key = _relabelled(adj, core, verts)
     dims = memo.get(key)
     if dims is None:
-        w = min(verts, key=lambda v: (adj[v] & core).bit_count())
-        near = adj[w] & core
-        faces = _list_faces(adj, core & ~(1 << w))
-        sizes = _by_size([f for f in faces if f & near])
-        dims = {d: v for d, v in homology_dims_from_sizes(sizes, field).items() if v}
+        cells = _critical_cells(adj, core)
+        if cells is not None:
+            dims = {size - 1: count for size, count in cells.items()}
+        else:
+            w = min(verts, key=lambda v: (adj[v] & core).bit_count())
+            near = adj[w] & core
+            faces = _list_faces(adj, core & ~(1 << w))
+            sizes = _by_size([f for f in faces if f & near])
+            dims = {d: v for d, v in homology_dims_from_sizes(sizes, field).items() if v}
         memo[key] = memo[_relabelled(adj, core, verts[::-1])] = dims
     return dims
 

@@ -1,7 +1,9 @@
 """Betti tables from the subset sweep, checked entry-by-entry against the
 no-shortcut enumeration oracle, plus the decision procedure."""
 
+import functools
 import json
+import math
 import random
 from itertools import combinations
 
@@ -14,6 +16,7 @@ from circreg.betti import (
     VertexLimitError,
     ZeroIdealError,
     _core_homology,
+    _critical_cells,
     _fold_planes,
     _masks,
     _necklaces,
@@ -34,6 +37,7 @@ from circreg.graphs import (
     bits,
     circulant,
     moebius,
+    prism,
     random_graph,
 )
 from circreg.homology import homology_dims_from_sizes
@@ -423,11 +427,9 @@ class TestOrbitReps:
         core, mirror = 0b0010111, 0b1110100
         assert mirror == sum(1 << (6 - v) for v in bits(core))
         assert g.induced(bits(core))[0].edges != g.induced(bits(mirror))[0].edges
-        calls = []
-        real = betti_mod.homology_dims_from_sizes
-        monkeypatch.setattr(
-            betti_mod, "homology_dims_from_sizes", lambda *a: calls.append(a) or real(*a)
-        )
+        calls = []  # every miss walks the matching tree first, on both routes
+        real = betti_mod._critical_cells
+        monkeypatch.setattr(betti_mod, "_critical_cells", lambda *a: calls.append(a) or real(*a))
         memo: dict = {}
         dims = _core_homology(g.adj, core, field, memo)
         assert _core_homology(g.adj, mirror, field, memo) == dims
@@ -579,6 +581,92 @@ class TestCoreHomology:
         g = Graph(12, RP2_EDGES)
         for field, expected in ((2, {1: 1, 2: 1}), (3, {}), (5, {}), ("Q", {})):
             assert _core_homology(g.adj, g.full_mask, field, {}) == expected == _full_dims(g, g.full_mask, field)
+
+
+@functools.lru_cache(maxsize=None)
+def _tree_sample():
+    """(graph, core, the graph the core induces) for one core of each
+    isomorphism class of folded cores of flag RP^2, circulant(16, {4, 8}),
+    three ladders and three seeded random graphs on 12 vertices."""
+    rng = random.Random(163)
+    graphs = [Graph(12, RP2_EDGES), circulant(16, {4, 8}), moebius(5), moebius(6), prism(5)]
+    graphs += [random_graph(12, p, rng) for p in (0.3, 0.45, 0.6)]
+    sample = []
+    for g in graphs:
+        classes: dict = {}  # (vertices, edges, degrees) -> the induced graphs seen
+        for core in sorted(set(_cores(g, [m for m, _ in _subset_orbit_reps(g, {})])) - {0}):
+            sub = g.induced(bits(core))[0]
+            degrees = tuple(sorted(a.bit_count() for a in sub.adj))
+            seen = classes.setdefault((sub.n, sub.edge_count, degrees), [])
+            if not any(naive_ref.are_isomorphic(sub, h) for h in seen):
+                seen.append(sub)
+                sample.append((g, core, sub))
+    return sample
+
+
+class TestMatchingTree:
+    """_critical_cells certifies a core's homology when no two of its cells
+    sit in adjacent sizes; the certified dims must be the reference's over
+    every field."""
+
+    @pytest.mark.parametrize("field", [2, 3, 5, "Q"])
+    def test_certified_cores_of_a_seeded_sample(self, field):
+        certified = nonzero = 0
+        for g, core, sub in _tree_sample():
+            cells = _critical_cells(g.adj, core)
+            if cells is None:
+                continue
+            dims = {size - 1: count for size, count in cells.items()}
+            certified += 1
+            nonzero += bool(dims)
+            if sub.n <= 12:
+                assert dims == _full_dims(sub, sub.full_mask, field), (g.n, g.edges, core)
+        assert certified >= 180 and nonzero >= 170
+        assert len(_tree_sample()) - certified >= 10
+
+    def test_cores_of_disjoint_cliques_are_joins_of_points(self):
+        # circulant(16, {4, 8}) is four disjoint K4s, so each core is a
+        # disjoint union of cliques K_a1, ..., K_ak with every a >= 2.  Its
+        # complex is the join of k discrete sets of a_i points: H~ is free,
+        # of rank (a1 - 1) ... (ak - 1), in degree k - 1.  This covers the
+        # cores on 13 to 16 vertices, which the reference cannot rank in
+        # test time.
+        g = circulant(16, {4, 8})
+        cores = [(core, sub) for h, core, sub in _tree_sample() if h == g]
+        assert len(cores) == 34  # multisets of 1 to 4 clique sizes from {2, 3, 4}
+        for core, sub in cores:
+            parts = sub.connected_components()
+            assert sub.edge_count == sum(len(c) * (len(c) - 1) // 2 for c in parts)
+            assert _critical_cells(g.adj, core) == {len(parts): math.prod(len(c) - 1 for c in parts)}, core
+
+    def test_flag_rp2_is_not_certified(self):
+        # Z/2 in H_1 puts the GF(2) dims in degrees 1 and 2, so every
+        # acyclic matching leaves cells in adjacent sizes.
+        g = Graph(12, RP2_EDGES)
+        assert _critical_cells(g.adj, g.full_mask) is None
+
+    @pytest.mark.parametrize("field", [2, 3, 5, "Q"])
+    def test_bowtie_takes_the_fallback(self, field, monkeypatch):
+        # Two triangles on vertex 0: no fold applies, and Ind is a point
+        # apart from a square, with H~_0 = H~_1 = Z, so the tree leaves
+        # cells of sizes 1 and 2 and the relative complex is ranked.
+        g = Graph(5, [(0, 1), (0, 2), (1, 2), (0, 3), (0, 4), (3, 4)])
+        assert _cores(g, [g.full_mask]) == [g.full_mask]
+        assert _critical_cells(g.adj, g.full_mask) is None
+        calls = []
+        real = betti_mod.homology_dims_from_sizes
+        monkeypatch.setattr(betti_mod, "homology_dims_from_sizes", lambda *a: calls.append(a) or real(*a))
+        dims = _core_homology(g.adj, g.full_mask, field, {})
+        assert dims == {0: 1, 1: 1} == _full_dims(g, g.full_mask, field)
+        assert len(calls) == 1
+
+    def test_certified_core_ranks_nothing(self, monkeypatch):
+        # C5's complex is a circle; its tree leaves one cell, of size 2.
+        g = circulant(5, {1})
+        assert _critical_cells(g.adj, g.full_mask) == {2: 1}
+        monkeypatch.setattr(betti_mod, "homology_dims_from_sizes", None)
+        monkeypatch.setattr(betti_mod, "_list_faces", None)
+        assert _core_homology(g.adj, g.full_mask, "Q", {}) == {1: 1}
 
 
 class TestFold:

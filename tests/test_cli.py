@@ -11,7 +11,8 @@ import circreg
 import circreg.cli as cli
 import circreg.verify as verify
 from circreg.cli import main, parse_graph_spec
-from circreg.graphs import circulant, family_b, moebius, prism
+from circreg.graphs import Graph, circulant, family_b, moebius, prism
+from naive_ref import RP2_EDGES
 
 
 def run(capsys, *argv):
@@ -33,6 +34,15 @@ class TestGraphSpecs:
         path = tmp_path / "g.json"
         path.write_text(json.dumps(circulant(6, {1}).to_json_dict(), sort_keys=True))
         assert parse_graph_spec(str(path)) == circulant(6, {1})
+
+    def test_flag_rp2_file_is_the_reference_graph(self):
+        # CI pins flag RP^2's tables from this file; it must stay the graph
+        # the tests call RP2_EDGES, written as `circreg gen` would write it.
+        path = os.path.join(os.path.dirname(__file__), "data", "flag_rp2.json")
+        g = Graph(12, RP2_EDGES)
+        assert parse_graph_spec(path) == g
+        with open(path, encoding="utf-8") as fh:
+            assert fh.read() == json.dumps(g.to_json_dict(), sort_keys=True) + "\n"
 
     @pytest.mark.parametrize("bad", ["circulant:10", "wheel:4", "circulant:4:9", "A:x"])
     def test_bad_specs(self, bad):
