@@ -437,10 +437,10 @@ def _relabelled(adj: Sequence[int], core: int, verts: list[int]) -> tuple[int, .
     return tuple(key)
 
 
-def _critical_cells(adj: Sequence[int], core: int) -> Optional[dict[int, int]]:
+def _critical_cells(adj: Sequence[int], core: int) -> Optional[list[list[int]]]:
     """The critical cells of one matching tree on Ind(G), G the graph
-    induced on *core*, counted by size, ascending; None once two of them
-    sit in adjacent sizes.
+    induced on *core*, as faces grouped by size (as _by_size groups them);
+    None once two of them sit in adjacent sizes.
 
     A node of the tree holds the faces that contain a set A of vertices and
     miss the vertices outside A and a free set F, with no vertex of F next
@@ -454,16 +454,17 @@ def _critical_cells(adj: Sequence[int], core: int) -> Optional[dict[int, int]]:
     branch is not walked.  The pairs are an acyclic matching on the faces,
     the empty face included (module docstring).
     """
-    cells: dict[int, int] = {}
+    cells: dict[int, list[int]] = {}  # size -> the cells of that size
     stack = [(core, 0)]
     while stack:
-        free, size = stack.pop()
+        free, face = stack.pop()
         if not free:
+            size = face.bit_count()
             if size not in cells:
                 if size - 1 in cells or size + 1 in cells:
                     return None
-                cells[size] = 0
-            cells[size] += 1
+                cells[size] = []
+            cells[size].append(face)
             continue
         least = len(adj)
         rest = free
@@ -487,9 +488,9 @@ def _critical_cells(adj: Sequence[int], core: int) -> Optional[dict[int, int]]:
                     most, p = degree, v
             out = free & ~(1 << p)
             if least > 1:
-                stack.append((out, size))
-            stack.append((out & ~adj[p], size + 1))
-    return dict(sorted(cells.items()))
+                stack.append((out, face))
+            stack.append((out & ~adj[p], face | 1 << p))
+    return [cells.get(size, []) for size in range(max(cells, default=-1) + 1)]
 
 
 def _core_homology(adj: Sequence[int], core: int, field, memo: dict) -> dict[int, int]:
@@ -499,7 +500,9 @@ def _core_homology(adj: Sequence[int], core: int, field, memo: dict) -> dict[int
     Bousquet-Mélou, Linusson and Nevo 2008).  When no two of its critical
     cells sit in adjacent sizes, the Morse complex has no differential
     (Forman 1998), so H~_(k-1)(Ind G; Z) is free on the cells of size k, G
-    the graph induced on *core*, and the dims hold over every field.  A
+    the graph induced on *core*, and the dims hold over every field.  The
+    cells go to homology_dims_from_sizes as they are: no two of their
+    groups are adjacent, so it ranks nothing and returns their counts.  A
     cone's core ends the tree at its root with no cell and no homology.
     Otherwise the miss falls back to splitting Ind(G) at a vertex w of
     least degree, the lowest such label, so that few faces meet N(w)
@@ -517,15 +520,13 @@ def _core_homology(adj: Sequence[int], core: int, field, memo: dict) -> dict[int
     key = _relabelled(adj, core, verts)
     dims = memo.get(key)
     if dims is None:
-        cells = _critical_cells(adj, core)
-        if cells is not None:
-            dims = {size - 1: count for size, count in cells.items()}
-        else:
+        sizes = _critical_cells(adj, core)
+        if sizes is None:
             w = min(verts, key=lambda v: (adj[v] & core).bit_count())
             near = adj[w] & core
             faces = _list_faces(adj, core & ~(1 << w))
             sizes = _by_size([f for f in faces if f & near])
-            dims = {d: v for d, v in homology_dims_from_sizes(sizes, field).items() if v}
+        dims = {d: v for d, v in homology_dims_from_sizes(sizes, field).items() if v}
         memo[key] = memo[_relabelled(adj, core, verts[::-1])] = dims
     return dims
 

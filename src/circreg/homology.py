@@ -25,10 +25,11 @@ or divided by their gcd over Q.  GF(2) keeps its own reduction because it is
 faster: a variant that sent GF(2) through the sparse one made perfbench's
 `sweep` workload 14% slower (`wall_s` 0.137 -> 0.155 s, 2-vCPU Xeon VM).
 
-In the sweep only the cores its matching tree cannot certify reach this
-module (circreg.betti); a certified core's dims hold over every field with
-no rank.  Over Q most complexes that do reach it need no reduction of their
-own.  By the universal
+In the sweep every core's list reaches homology_dims_from_sizes, but a core
+that its matching tree certifies (circreg.betti) hands over its critical
+cells, no two in adjacent sizes, so nothing is ranked and its dims hold over
+every field.  Over Q most complexes that are ranked need no reduction of
+their own.  By the universal
 coefficient theorem (Hatcher, *Algebraic Topology*, 2002, section 3.A),
 dim H_d(K; GF(2)) = rank H_d(K; Z) + t_d + t_(d-1), where t_d counts the
 2-primary cyclic summands of H_d(K; Z).  So the GF(2) dims exceed the Q dims
@@ -41,8 +42,8 @@ over Q.  2-torsion raises the GF(2) dims in two adjacent degrees, so a
 complex with 2-torsion always takes that fallback.  The rule is for Q
 alone: a Q result equal to the GF(2) one says nothing about odd torsion.
 All of this holds for a relative list alike, since its chains are free.
-So within the sweep the parity rule serves the fallback cores only, and
-beyond it the full complexes that chi_report ranks.
+So within the sweep the parity rule saves ranks on the fallback cores only,
+and beyond it on the full complexes that chi_report ranks.
 """
 
 from __future__ import annotations

@@ -11,6 +11,7 @@ import pytest
 
 import naive_ref
 import circreg.betti as betti_mod
+import circreg.homology as homology_mod
 from circreg.betti import (
     BettiTable,
     VertexLimitError,
@@ -427,9 +428,11 @@ class TestOrbitReps:
         core, mirror = 0b0010111, 0b1110100
         assert mirror == sum(1 << (6 - v) for v in bits(core))
         assert g.induced(bits(core))[0].edges != g.induced(bits(mirror))[0].edges
-        calls = []  # every miss walks the matching tree first, on both routes
-        real = betti_mod._critical_cells
-        monkeypatch.setattr(betti_mod, "_critical_cells", lambda *a: calls.append(a) or real(*a))
+        calls = []
+        real = betti_mod.homology_dims_from_sizes
+        monkeypatch.setattr(
+            betti_mod, "homology_dims_from_sizes", lambda *a: calls.append(a) or real(*a)
+        )
         memo: dict = {}
         dims = _core_homology(g.adj, core, field, memo)
         assert _core_homology(g.adj, mirror, field, memo) == dims
@@ -616,7 +619,10 @@ class TestMatchingTree:
             cells = _critical_cells(g.adj, core)
             if cells is None:
                 continue
-            dims = {size - 1: count for size, count in cells.items()}
+            for size, group in enumerate(cells):  # faces of Ind(G[core]), by size
+                assert all(c & ~core == 0 and c.bit_count() == size for c in group)
+                assert not any(g.adj[v] & c for c in group for v in bits(c))
+            dims = _core_homology(g.adj, core, field, {})
             certified += 1
             nonzero += bool(dims)
             if sub.n <= 12:
@@ -637,7 +643,8 @@ class TestMatchingTree:
         for core, sub in cores:
             parts = sub.connected_components()
             assert sub.edge_count == sum(len(c) * (len(c) - 1) // 2 for c in parts)
-            assert _critical_cells(g.adj, core) == {len(parts): math.prod(len(c) - 1 for c in parts)}, core
+            cells = _critical_cells(g.adj, core)
+            assert list(map(len, cells)) == [0] * len(parts) + [math.prod(len(c) - 1 for c in parts)], core
 
     def test_flag_rp2_is_not_certified(self):
         # Z/2 in H_1 puts the GF(2) dims in degrees 1 and 2, so every
@@ -649,13 +656,13 @@ class TestMatchingTree:
     def test_bowtie_takes_the_fallback(self, field, monkeypatch):
         # Two triangles on vertex 0: no fold applies, and Ind is a point
         # apart from a square, with H~_0 = H~_1 = Z, so the tree leaves
-        # cells of sizes 1 and 2 and the relative complex is ranked.
+        # cells of sizes 1 and 2 and the relative complex is listed and ranked.
         g = Graph(5, [(0, 1), (0, 2), (1, 2), (0, 3), (0, 4), (3, 4)])
         assert _cores(g, [g.full_mask]) == [g.full_mask]
         assert _critical_cells(g.adj, g.full_mask) is None
         calls = []
-        real = betti_mod.homology_dims_from_sizes
-        monkeypatch.setattr(betti_mod, "homology_dims_from_sizes", lambda *a: calls.append(a) or real(*a))
+        real = betti_mod._list_faces
+        monkeypatch.setattr(betti_mod, "_list_faces", lambda *a: calls.append(a) or real(*a))
         dims = _core_homology(g.adj, g.full_mask, field, {})
         assert dims == {0: 1, 1: 1} == _full_dims(g, g.full_mask, field)
         assert len(calls) == 1
@@ -663,8 +670,8 @@ class TestMatchingTree:
     def test_certified_core_ranks_nothing(self, monkeypatch):
         # C5's complex is a circle; its tree leaves one cell, of size 2.
         g = circulant(5, {1})
-        assert _critical_cells(g.adj, g.full_mask) == {2: 1}
-        monkeypatch.setattr(betti_mod, "homology_dims_from_sizes", None)
+        assert list(map(len, _critical_cells(g.adj, g.full_mask))) == [0, 0, 1]
+        monkeypatch.setattr(homology_mod, "_boundary_rank", None)
         monkeypatch.setattr(betti_mod, "_list_faces", None)
         assert _core_homology(g.adj, g.full_mask, "Q", {}) == {1: 1}
 

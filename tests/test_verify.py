@@ -287,12 +287,12 @@ def test_default_properties_digest_by_field(field):
 
 @pytest.fixture
 def homology_calls(monkeypatch) -> list:
-    """One entry per homology computation of a folded core: every memo miss
-    walks the core's matching tree first, whether its cells certify the
-    homology or it falls back to ranking the relative complex."""
+    """One entry per homology computation of a folded core."""
     calls: list = []
-    real = betti_mod._critical_cells
-    monkeypatch.setattr(betti_mod, "_critical_cells", lambda *a: calls.append(a) or real(*a))
+    real = betti_mod.homology_dims_from_sizes
+    monkeypatch.setattr(
+        betti_mod, "homology_dims_from_sizes", lambda *a: calls.append(a) or real(*a)
+    )
     return calls
 
 
