@@ -31,9 +31,10 @@ discrete Morse theory (R. Forman, "Morse theory for cell complexes", Adv.
 Math. 1998) the reduced chains of Ind(G) are then chain homotopy equivalent
 over Z to a complex with one generator in degree k - 1 per critical cell of
 size k.  When no two cells sit in adjacent sizes its differentials are zero,
-so H~(Ind G; Z) is free on the cells, with the same dims over every field,
-and no face is listed or ranked.  Otherwise the core falls back to a split
-at a vertex w of least degree:
+so H~(Ind G; Z) is free on the cells, with the same dims over every field:
+the tree keeps only a count of cells per size, and no face is listed or
+ranked.  Otherwise the core falls back to a split at a vertex w of least
+degree:
 Ind(G) = Ind(G - w) ∪ w * Ind(G - N[w]) (M. Adamaszek, "Splittings of
 independence complexes and the powers of cycles", J. Combin. Theory Ser. A
 2012).  The cone w * Ind(G - N[w]) is contractible, so by excision
@@ -44,11 +45,13 @@ relative complex is ranked on its faces, those of Ind(G - w) that meet N(w).
 The fold is bit-sliced (E. Biham, "A fast new DES implementation in
 software", FSE 1997): the subsets of a sweep are transposed into one
 bit-plane per vertex, an integer whose bit t says that subset t holds the
-vertex, so that one integer operation acts on every subset at once.  Each
-round drops the subsets with an isolated vertex and then, for each ordered
-pair (u, v) of non-adjacent vertices with a common neighbour, clears v from
-every subset holding u and v but no vertex of N(u) - N(v); rounds repeat
-until one folds nothing.  The planes are transposed back to one folded
+vertex, so that one integer operation acts on every subset at once.  A
+slice of consecutive subsets is not transposed: bit v of consecutive
+integers flips every 2^v of them, so each plane is written from that
+period.  Each round drops the subsets with an isolated vertex and then,
+for each ordered pair (u, v) of non-adjacent vertices with a common
+neighbour, clears v from every subset holding u and v but no vertex of
+N(u) - N(v); rounds repeat until one folds nothing.  The planes are transposed back to one folded
 core per subset, and the subsets are counted by core and size.
 When the rotation v -> v+1 (mod n) is an automorphism, only one subset per
 orbit is computed and its contribution multiplied by the orbit size.  The
@@ -65,9 +68,10 @@ builds it once.  The orbits a sweep visits are two flat sequences, the
 least members and the orbit sizes, sliced together by the fold: a list and
 a bytearray for the necklaces, and for a graph without the rotation
 range(1, 2^n) and a bytes of 1s, so that no subset is listed before its
-slice is folded.  Mirror images are merged by the memo instead: each
-new core is also stored under its relabelled adjacency read in descending
-vertex order, the key of its mirror image.
+slice is folded.  The memo key of a core is one int: the rows of its
+relabelled adjacency, packed under a sentinel bit.  Mirror images are
+merged by the memo instead of the orbits: each new core is also stored
+under its key with the ranks reversed, the key of its mirror image.
 """
 
 from __future__ import annotations
@@ -309,7 +313,27 @@ def _planes(masks: Sequence[int], n: int) -> list[int]:
     The masks are packed as 64-bit little-endian words whatever the host's
     byte order.  Every 8th byte from offset b is byte b of each mask;
     reversed and translated to b"0"/b"1" for one of its bits, it is the
-    binary numeral of that vertex's plane, read by int(..., 2)."""
+    binary numeral of that vertex's plane, read by int(..., 2).
+
+    A range of step 1 is not transposed: bit v of start, start + 1, ...
+    keeps start's bit v until the next multiple of 2^v and then flips every
+    2^v subsets, so each plane is written from that period."""
+    if isinstance(masks, range) and masks.step == 1:
+        start, count = masks.start, len(masks)
+        planes = []
+        for v in range(n):
+            half = 1 << v
+            first = half - (start & half - 1)  # the subsets before the first flip
+            wave, width = (1 << min(half, count)) - 1, 2 * half  # half 1s, half 0s, ...
+            while width < count:
+                wave |= wave << width
+                width *= 2
+            if start >> v & 1:
+                plane = (1 << first) - 1 | wave << first + half
+            else:
+                plane = wave << first
+            planes.append(plane & (1 << count) - 1)
+        return planes
     words = array("Q", masks)
     if sys.byteorder == "big":
         words.byteswap()
@@ -421,26 +445,39 @@ def _sweep_chunk(
     return entries
 
 
-def _relabelled(adj: Sequence[int], core: int, verts: list[int]) -> tuple[int, ...]:
-    """The graph induced on *core* with verts[k] relabelled k, as adjacency
-    masks in that order: the memo key of its homology."""
-    relabel = {1 << v: 1 << k for k, v in enumerate(verts)}
-    key = []
-    for v in verts:
-        nbrs = adj[v] & core
+def _relabelled(adj: Sequence[int], core: int, mirror: bool = False) -> int:
+    """The memo key of the graph induced on *core*: its k vertices
+    relabelled 0, ..., k-1 by rank, ascending, and each one's row of
+    neighbour ranks, k bits with bit r for rank r, written one row after
+    another, rank 0 first, under a sentinel 1 bit.  The sentinel fixes k:
+    the key has k*k + 1 bits, so rows of 0s cannot drop off its top.
+
+    With *mirror* the ranks are reversed, r -> k-1-r, both for the order of
+    the rows and for their bits: the key of the core's mirror image under
+    v -> n-1-v.  That reverses the k*k bits under the sentinel."""
+    k = core.bit_count()
+    key = 1
+    rest = core
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        nbrs = adj[low.bit_length() - 1] & core
         row = 0
         while nbrs:
-            low = nbrs & -nbrs
-            row |= relabel[low]
-            nbrs ^= low
-        key.append(row)
-    return tuple(key)
+            b = nbrs & -nbrs
+            nbrs ^= b
+            row |= 1 << (core & b - 1).bit_count()
+        key = key << k | row
+    if mirror:
+        key = int("1" + f"{key:b}"[:0:-1], 2)
+    return key
 
 
-def _critical_cells(adj: Sequence[int], core: int) -> Optional[list[list[int]]]:
-    """The critical cells of one matching tree on Ind(G), G the graph
-    induced on *core*, as faces grouped by size (as _by_size groups them);
-    None once two of them sit in adjacent sizes.
+def _tree_dims(adj: Sequence[int], core: int) -> Optional[dict[int, int]]:
+    """Nonzero reduced homology of Ind(G), G the graph induced on *core*,
+    from the critical cells of one matching tree on Ind(G): degree k - 1
+    has one dimension per cell of size k.  None once two cells sit in
+    adjacent sizes, where the counts alone do not give the homology.
 
     A node of the tree holds the faces that contain a set A of vertices and
     miss the vertices outside A and a free set F, with no vertex of F next
@@ -452,19 +489,20 @@ def _critical_cells(adj: Sequence[int], core: int) -> Optional[list[list[int]]]:
     label on ties), into "p out", F - p, and "p in", A + p with F - N[p].
     When p is u's only free neighbour, "p out" leaves u with none, so that
     branch is not walked.  The pairs are an acyclic matching on the faces,
-    the empty face included (module docstring).
+    the empty face included (module docstring).  Only the count of cells
+    per size is kept, not the cells.
     """
-    cells: dict[int, list[int]] = {}  # size -> the cells of that size
-    stack = [(core, 0)]
+    dims: dict[int, int] = {}  # size - 1 -> the cells of that size
+    stack = [(core, -1)]
     while stack:
-        free, face = stack.pop()
+        free, d = stack.pop()
         if not free:
-            size = face.bit_count()
-            if size not in cells:
-                if size - 1 in cells or size + 1 in cells:
-                    return None
-                cells[size] = []
-            cells[size].append(face)
+            if d in dims:
+                dims[d] += 1
+            elif d - 1 in dims or d + 1 in dims:
+                return None
+            else:
+                dims[d] = 1
             continue
         least = len(adj)
         rest = free
@@ -488,46 +526,45 @@ def _critical_cells(adj: Sequence[int], core: int) -> Optional[list[list[int]]]:
                     most, p = degree, v
             out = free & ~(1 << p)
             if least > 1:
-                stack.append((out, face))
-            stack.append((out & ~adj[p], face | 1 << p))
-    return [cells.get(size, []) for size in range(max(cells, default=-1) + 1)]
+                stack.append((out, d))
+            stack.append((out & ~adj[p], d + 1))
+    return dict(sorted(dims.items()))
 
 
 def _core_homology(adj: Sequence[int], core: int, field, memo: dict) -> dict[int, int]:
     """Nonzero reduced homology of the independence complex induced on *core*.
 
-    A miss first walks the core's matching tree (_critical_cells;
-    Bousquet-Mélou, Linusson and Nevo 2008).  When no two of its critical
-    cells sit in adjacent sizes, the Morse complex has no differential
-    (Forman 1998), so H~_(k-1)(Ind G; Z) is free on the cells of size k, G
-    the graph induced on *core*, and the dims hold over every field.  The
-    cells go to homology_dims_from_sizes as they are: no two of their
-    groups are adjacent, so it ranks nothing and returns their counts.  A
-    cone's core ends the tree at its root with no cell and no homology.
-    Otherwise the miss falls back to splitting Ind(G) at a vertex w of
-    least degree, the lowest such label, so that few faces meet N(w)
-    (Adamaszek 2012).  The cone w * Ind(G - N[w]) is contractible, so one
-    split is exact for every G (module docstring):
-    H~_d(Ind G) = H_d(Ind(G - w), Ind(G - N[w])) over Z, ranked on the
-    relative list, the faces of Ind(G - w) that meet N(w).
+    A miss first walks the core's matching tree (_tree_dims;
+    Bousquet-Mélou, Linusson and Nevo 2008), counting its critical cells by
+    size.  When no two sizes are adjacent, the Morse complex has no
+    differential (Forman 1998), so H~_(k-1)(Ind G; Z) is free on the cells
+    of size k, G the graph induced on *core*: the counts are the dims over
+    every field, and nothing is listed or ranked.  A cone's core ends the
+    tree at its root with no cell and no homology.  Otherwise the miss falls
+    back to splitting Ind(G) at a vertex w of least degree, the lowest such
+    label, so that few faces meet N(w) (Adamaszek 2012).  The cone
+    w * Ind(G - N[w]) is contractible, so one split is exact for every G
+    (module docstring): H~_d(Ind G) = H_d(Ind(G - w), Ind(G - N[w])) over Z,
+    ranked by homology_dims_from_sizes on the relative list, the faces of
+    Ind(G - w) that meet N(w).
 
-    The memo key reads the core in ascending vertex order.  A miss also
-    stores the dims under the key read in descending order.  That is the key
-    of the core's mirror image under v -> n-1-v, an automorphism of every
-    circulant, so a core and its mirror image share one homology computation.
+    The memo key is one int, _relabelled(adj, core): the core read in
+    ascending vertex order.  A miss also stores the dims under the key read
+    with the ranks reversed.  That is the key of the core's mirror image
+    under v -> n-1-v, an automorphism of every circulant, so a core and its
+    mirror image share one homology computation.
     """
-    verts = list(bits(core))
-    key = _relabelled(adj, core, verts)
+    key = _relabelled(adj, core)
     dims = memo.get(key)
     if dims is None:
-        sizes = _critical_cells(adj, core)
-        if sizes is None:
-            w = min(verts, key=lambda v: (adj[v] & core).bit_count())
+        dims = _tree_dims(adj, core)
+        if dims is None:
+            w = min(bits(core), key=lambda v: (adj[v] & core).bit_count())
             near = adj[w] & core
             faces = _list_faces(adj, core & ~(1 << w))
-            sizes = _by_size([f for f in faces if f & near])
-        dims = {d: v for d, v in homology_dims_from_sizes(sizes, field).items() if v}
-        memo[key] = memo[_relabelled(adj, core, verts[::-1])] = dims
+            found = homology_dims_from_sizes(_by_size([f for f in faces if f & near]), field)
+            dims = {d: v for d, v in found.items() if v}
+        memo[key] = memo[_relabelled(adj, core, True)] = dims
     return dims
 
 

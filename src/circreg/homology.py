@@ -25,11 +25,11 @@ or divided by their gcd over Q.  GF(2) keeps its own reduction because it is
 faster: a variant that sent GF(2) through the sparse one made perfbench's
 `sweep` workload 14% slower (`wall_s` 0.137 -> 0.155 s, 2-vCPU Xeon VM).
 
-In the sweep every core's list reaches homology_dims_from_sizes, but a core
-that its matching tree certifies (circreg.betti) hands over its critical
-cells, no two in adjacent sizes, so nothing is ranked and its dims hold over
-every field.  Over Q most complexes that are ranked need no reduction of
-their own.  By the universal
+In the sweep only the cores that their matching tree cannot certify
+(circreg.betti) reach homology_dims_from_sizes, as a relative list; a
+certified core's dims are the counts of its critical cells, over every
+field, and come to no function here.  Over Q most complexes that are ranked
+need no reduction of their own.  By the universal
 coefficient theorem (Hatcher, *Algebraic Topology*, 2002, section 3.A),
 dim H_d(K; GF(2)) = rank H_d(K; Z) + t_d + t_(d-1), where t_d counts the
 2-primary cyclic summands of H_d(K; Z).  So the GF(2) dims exceed the Q dims

@@ -7,13 +7,16 @@ two routes to each number share no code beyond the definitions.
 complex_from_facets only builds the library's complex from vertex lists, and
 complete_graph and path_graph build the graphs K_n and P_n, and RP2_EDGES
 lists the edges of a graph whose tables differ by field, as inputs of
-checks.  The last four sections are the exceptions.  One generates
+checks.  The last five sections are the exceptions.  One generates
 the binary necklaces by the Fredricksen-Kessler-Maiorana algorithm one
 prenecklace step at a time, the reference the library's block walk must
 match list for list.  One runs
 the rounds of the sweep's fold on one subset at a time, with sets, as the
 reference the bit-sliced fold, which folds every subset of a sweep at once,
-must match exactly.  One states the cubic circulants' regularity by cases on
+must match exactly.  One lists the rows of a relabelled core, which the
+sweep's int memo key packs, and walks the sweep's matching tree keeping
+every critical cell, not a count per size: the references for the key and
+for the tree's counts.  One states the cubic circulants' regularity by cases on
 t = gcd(2n, a), as a reference for the library's form, which reads the
 Davis-Domke decomposition.  The last tests graphs for isomorphism by
 backtracking, and builds the disjoint union of ladder copies that the
@@ -299,6 +302,62 @@ def fold_rounds(g: Graph, masks) -> list[int]:
                 break
         out.append(sum(1 << v for v in left))
     return out
+
+
+# -- the sweep's memo key as rows, and its matching tree's cells ---------------
+
+
+def relabelled_rows(adj, core: int, verts: list[int]) -> tuple[int, ...]:
+    """The graph induced on *core* with verts[k] relabelled k, as adjacency
+    masks in that order: the rows the sweep's int memo key packs."""
+    relabel = {1 << v: 1 << k for k, v in enumerate(verts)}
+    key = []
+    for v in verts:
+        nbrs = adj[v] & core
+        row = 0
+        while nbrs:
+            low = nbrs & -nbrs
+            row |= relabel[low]
+            nbrs ^= low
+        key.append(row)
+    return tuple(key)
+
+
+def critical_cells(adj, core: int):
+    """The critical cells of the sweep's matching tree on Ind(G), G the
+    graph induced on *core*, as faces grouped by size; None once two of
+    them sit in adjacent sizes.  The same walk as the sweep's, pivot rule
+    and stop included, but it keeps every cell, not a count per size.
+
+    A node holds a face A and a free set F.  A free vertex with no free
+    neighbour ends the node with no cell; an empty F is the cell A.
+    Otherwise the pivot p is the neighbour of largest free degree (lowest
+    label on ties) of a free vertex u of least free degree (lowest label on
+    ties); "p out" drops p from F, unless p is u's only free neighbour, and
+    "p in" adds p to A and drops N[p] from F.  The nodes are walked last in,
+    first out, "p in" first."""
+    cells: dict[int, list[int]] = {}  # size -> the cells of that size
+    stack = [(core, 0)]
+    while stack:
+        free, face = stack.pop()
+        if not free:
+            size = face.bit_count()
+            if size not in cells:
+                if size - 1 in cells or size + 1 in cells:
+                    return None
+                cells[size] = []
+            cells[size].append(face)
+            continue
+        degree = {v: (adj[v] & free).bit_count() for v in bits(free)}
+        if not all(degree.values()):
+            continue
+        u = min(degree, key=lambda v: (degree[v], v))
+        p = max(bits(adj[u] & free), key=lambda v: (degree[v], -v))
+        out = free & ~(1 << p)
+        if degree[u] > 1:
+            stack.append((out, face))
+        stack.append((out & ~adj[p], face | 1 << p))
+    return [cells.get(size, []) for size in range(max(cells, default=-1) + 1)]
 
 
 # -- cubic circulant regularity by cases on gcd(2n, a) -------------------------

@@ -17,15 +17,16 @@ from circreg.betti import (
     VertexLimitError,
     ZeroIdealError,
     _core_homology,
-    _critical_cells,
     _fold_planes,
     _masks,
     _necklaces,
     _Orbits,
     _planes,
+    _relabelled,
     _rotation_is_automorphism,
     _subset_orbit_reps,
     _sweep_chunk,
+    _tree_dims,
     decide_regularity,
     hochster_betti_table,
     induced_betti_tables,
@@ -429,10 +430,8 @@ class TestOrbitReps:
         assert mirror == sum(1 << (6 - v) for v in bits(core))
         assert g.induced(bits(core))[0].edges != g.induced(bits(mirror))[0].edges
         calls = []
-        real = betti_mod.homology_dims_from_sizes
-        monkeypatch.setattr(
-            betti_mod, "homology_dims_from_sizes", lambda *a: calls.append(a) or real(*a)
-        )
+        real = betti_mod._tree_dims  # every miss walks one tree
+        monkeypatch.setattr(betti_mod, "_tree_dims", lambda *a: calls.append(a) or real(*a))
         memo: dict = {}
         dims = _core_homology(g.adj, core, field, memo)
         assert _core_homology(g.adj, mirror, field, memo) == dims
@@ -586,6 +585,56 @@ class TestCoreHomology:
             assert _core_homology(g.adj, g.full_mask, field, {}) == expected == _full_dims(g, g.full_mask, field)
 
 
+def _key_rows(key):
+    """The rows an int memo key packs: k rows of k bits, rank 0 first,
+    under the sentinel 1 bit, so the key has k*k + 1 bits."""
+    k = math.isqrt(key.bit_length() - 1)
+    assert key >> k * k == 1, bin(key)
+    return tuple(key >> k * (k - 1 - i) & (1 << k) - 1 for i in range(k))
+
+
+class TestMemoKey:
+    """_relabelled packs the core's relabelled rows into one int."""
+
+    def test_key_packs_the_relabelled_rows(self):
+        rng = random.Random(167)
+        for n in range(2, 21):
+            g = random_graph(n, rng.uniform(0.1, 0.9), rng)
+            for core in [0, g.full_mask] + [rng.getrandbits(n) for _ in range(30)]:
+                verts = list(bits(core))
+                rows = naive_ref.relabelled_rows(g.adj, core, verts)
+                assert _key_rows(_relabelled(g.adj, core)) == rows, (g.edges, core)
+                mirrored = naive_ref.relabelled_rows(g.adj, core, verts[::-1])
+                assert _key_rows(_relabelled(g.adj, core, True)) == mirrored, (g.edges, core)
+
+    def test_mirror_key_is_the_key_of_the_mirror_image(self):
+        rng = random.Random(173)
+        for g in (circulant(7, {1, 2}), circulant(12, {2, 6}), circulant(20, {1, 3})):
+            for core in [rng.getrandbits(g.n) for _ in range(50)]:
+                mirror = sum(1 << (g.n - 1 - v) for v in bits(core))
+                assert _relabelled(g.adj, core, True) == _relabelled(g.adj, mirror), (g.n, core)
+
+    @pytest.mark.parametrize("field", [2, "Q"])
+    def test_sentinel_keeps_an_isolated_lowest_vertex(self, field):
+        # Without the sentinel a key would lose its leading rows of 0s, so a
+        # vertex alone and the empty set would share a key, though one is a
+        # point (acyclic) and the other the empty complex (H~_-1 of rank 1).
+        memo: dict = {}
+        masks = 0
+        for g in _all_graphs(4):
+            for mask in range(1, 1 << 4):
+                low = mask & -mask
+                if g.adj[low.bit_length() - 1] & mask:
+                    continue
+                rest = mask ^ low
+                assert _relabelled(g.adj, mask) != _relabelled(g.adj, rest), (g.edges, mask)
+                assert _core_homology(g.adj, mask, field, memo) == {} == _full_dims(g, mask, field)
+                assert _core_homology(g.adj, rest, field, memo) == _full_dims(g, rest, field), (g.edges, rest)
+                masks += 1
+        assert _full_dims(Graph(1, []), 0, field) == {-1: 1}
+        assert masks > 300
+
+
 @functools.lru_cache(maxsize=None)
 def _tree_sample():
     """(graph, core, the graph the core induces) for one core of each
@@ -607,16 +656,30 @@ def _tree_sample():
     return sample
 
 
+def _cell_counts(cells):
+    """The reference's cells as the tree's dims: size - 1 -> count."""
+    return None if cells is None else {size - 1: len(group) for size, group in enumerate(cells) if group}
+
+
 class TestMatchingTree:
-    """_critical_cells certifies a core's homology when no two of its cells
-    sit in adjacent sizes; the certified dims must be the reference's over
-    every field."""
+    """_tree_dims counts the critical cells of a core's matching tree by
+    size, and certifies its homology when no two sizes are adjacent; the
+    counts must be the reference walk's cells per size, and the certified
+    dims the reference's homology over every field."""
+
+    def test_counts_are_the_reference_cells_per_size(self):
+        certified = 0
+        for g, core, _ in _tree_sample():
+            cells = naive_ref.critical_cells(g.adj, core)
+            assert _tree_dims(g.adj, core) == _cell_counts(cells), (g.n, g.edges, core)
+            certified += cells is not None
+        assert certified >= 180 and len(_tree_sample()) - certified >= 10
 
     @pytest.mark.parametrize("field", [2, 3, 5, "Q"])
     def test_certified_cores_of_a_seeded_sample(self, field):
         certified = nonzero = 0
         for g, core, sub in _tree_sample():
-            cells = _critical_cells(g.adj, core)
+            cells = naive_ref.critical_cells(g.adj, core)
             if cells is None:
                 continue
             for size, group in enumerate(cells):  # faces of Ind(G[core]), by size
@@ -643,14 +706,17 @@ class TestMatchingTree:
         for core, sub in cores:
             parts = sub.connected_components()
             assert sub.edge_count == sum(len(c) * (len(c) - 1) // 2 for c in parts)
-            cells = _critical_cells(g.adj, core)
-            assert list(map(len, cells)) == [0] * len(parts) + [math.prod(len(c) - 1 for c in parts)], core
+            cells = naive_ref.critical_cells(g.adj, core)
+            rank = math.prod(len(c) - 1 for c in parts)
+            assert list(map(len, cells)) == [0] * len(parts) + [rank], core
+            assert _tree_dims(g.adj, core) == {len(parts) - 1: rank}, core
 
     def test_flag_rp2_is_not_certified(self):
         # Z/2 in H_1 puts the GF(2) dims in degrees 1 and 2, so every
         # acyclic matching leaves cells in adjacent sizes.
         g = Graph(12, RP2_EDGES)
-        assert _critical_cells(g.adj, g.full_mask) is None
+        assert _tree_dims(g.adj, g.full_mask) is None
+        assert naive_ref.critical_cells(g.adj, g.full_mask) is None
 
     @pytest.mark.parametrize("field", [2, 3, 5, "Q"])
     def test_bowtie_takes_the_fallback(self, field, monkeypatch):
@@ -659,7 +725,8 @@ class TestMatchingTree:
         # cells of sizes 1 and 2 and the relative complex is listed and ranked.
         g = Graph(5, [(0, 1), (0, 2), (1, 2), (0, 3), (0, 4), (3, 4)])
         assert _cores(g, [g.full_mask]) == [g.full_mask]
-        assert _critical_cells(g.adj, g.full_mask) is None
+        assert _tree_dims(g.adj, g.full_mask) is None
+        assert naive_ref.critical_cells(g.adj, g.full_mask) is None
         calls = []
         real = betti_mod._list_faces
         monkeypatch.setattr(betti_mod, "_list_faces", lambda *a: calls.append(a) or real(*a))
@@ -670,9 +737,11 @@ class TestMatchingTree:
     def test_certified_core_ranks_nothing(self, monkeypatch):
         # C5's complex is a circle; its tree leaves one cell, of size 2.
         g = circulant(5, {1})
-        assert list(map(len, _critical_cells(g.adj, g.full_mask))) == [0, 0, 1]
+        assert list(map(len, naive_ref.critical_cells(g.adj, g.full_mask))) == [0, 0, 1]
+        assert _tree_dims(g.adj, g.full_mask) == {1: 1}
         monkeypatch.setattr(homology_mod, "_boundary_rank", None)
         monkeypatch.setattr(betti_mod, "_list_faces", None)
+        monkeypatch.setattr(betti_mod, "homology_dims_from_sizes", None)
         assert _core_homology(g.adj, g.full_mask, "Q", {}) == {1: 1}
 
 
@@ -759,6 +828,19 @@ class TestFold:
                 for v, plane in enumerate(planes):
                     assert plane == sum(1 << t for t, m in enumerate(masks) if m >> v & 1), (n, count, v)
                 assert _masks(planes, count) == masks, (n, count)
+                # A range is read off its period, not transposed.
+                start = rng.randrange(1 << n)
+                masks = range(start, min(start + count, 1 << n))
+                assert _planes(masks, n) == _planes(list(masks), n), (n, start, count)
+        # The slices of a sweep without the rotation: range(1, 2^n) cut
+        # every 2^16 subsets, so each but the first starts at 1 + 65536 s.
+        for n in (17, 18, 19, 20):
+            total = 1 << n
+            for s in sorted({0, 1, rng.randrange(total >> 16), (total - 1) >> 16}):
+                masks = range(1 + 65536 * s, min(1 + 65536 * (s + 1), total))
+                planes = _planes(masks, n)
+                assert planes == _planes(list(masks), n), (n, s)
+                assert _masks(planes, len(masks)) == list(masks), (n, s)
 
 
 class TestDecision:

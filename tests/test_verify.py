@@ -287,12 +287,11 @@ def test_default_properties_digest_by_field(field):
 
 @pytest.fixture
 def homology_calls(monkeypatch) -> list:
-    """One entry per homology computation of a folded core."""
+    """One entry per homology computation of a folded core: every memo miss
+    walks one matching tree, certified or not."""
     calls: list = []
-    real = betti_mod.homology_dims_from_sizes
-    monkeypatch.setattr(
-        betti_mod, "homology_dims_from_sizes", lambda *a: calls.append(a) or real(*a)
-    )
+    real = betti_mod._tree_dims
+    monkeypatch.setattr(betti_mod, "_tree_dims", lambda *a: calls.append(a) or real(*a))
     return calls
 
 
