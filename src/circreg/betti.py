@@ -51,8 +51,9 @@ integers flips every 2^v of them, so each plane is written from that
 period.  Each round drops the subsets with an isolated vertex and then,
 for each ordered pair (u, v) of non-adjacent vertices with a common
 neighbour, clears v from every subset holding u and v but no vertex of
-N(u) - N(v); rounds repeat until one folds nothing.  The planes are transposed back to one folded
-core per subset, and the subsets are counted by core and size.
+N(u) - N(v); rounds repeat until one folds nothing.  The planes are
+transposed back to one folded core per subset, and the subsets are counted
+by core and size.
 When the rotation v -> v+1 (mod n) is an automorphism, only one subset per
 orbit is computed and its contribution multiplied by the orbit size.  The
 orbits are binary necklaces, generated directly by the Fredricksen-Kessler-
@@ -492,7 +493,7 @@ def _tree_dims(adj: Sequence[int], core: int) -> Optional[dict[int, int]]:
     the empty face included (module docstring).  Only the count of cells
     per size is kept, not the cells.
     """
-    dims: dict[int, int] = {}  # size - 1 -> the cells of that size
+    dims: dict[int, int] = {}  # size - 1 -> the number of cells of that size
     stack = [(core, -1)]
     while stack:
         free, d = stack.pop()
@@ -528,6 +529,8 @@ def _tree_dims(adj: Sequence[int], core: int) -> Optional[dict[int, int]]:
             if least > 1:
                 stack.append((out, d))
             stack.append((out & ~adj[p], d + 1))
+    # Ascending, as the fallback's dims: induced_betti_tables groups subsets
+    # by the (cell, dim) tuple their core's dims give.
     return dict(sorted(dims.items()))
 
 
